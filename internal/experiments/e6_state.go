@@ -96,13 +96,11 @@ func E6StateBackends(scale float64) Report {
 			b.SetCurrentKey(fmt.Sprintf("k%d", i%keys))
 			b.Value("v").Set(int64(i))
 		}
-		b.Tree().Flush()
 		first := manifestSet(b)
 		for i := updates / 2; i < updates; i++ {
 			b.SetCurrentKey(fmt.Sprintf("k%d", i%keys))
 			b.Value("v").Set(int64(i))
 		}
-		b.Tree().Flush()
 		second := manifestSet(b)
 		newFiles := 0
 		for f := range second {
@@ -120,9 +118,12 @@ func E6StateBackends(scale float64) Report {
 	return rep
 }
 
+// manifestSet takes a file-native snapshot — cache and memtable flushed to an
+// immutable table — and returns the tables now composing the state.
 func manifestSet(b *state.LSMBackend) map[string]bool {
 	m := map[string]bool{}
-	for _, f := range b.Tree().Manifest() {
+	files, _ := b.SnapshotFiles()
+	for _, f := range files {
 		m[f] = true
 	}
 	return m

@@ -47,17 +47,27 @@ func (s *skiplist) randomHeight() int {
 	return h
 }
 
-// put inserts or overwrites key. A tombstone records a deletion.
-func (s *skiplist) put(key, value []byte, tombstone bool) {
-	var update [maxHeight]*slNode
+// descend returns the first node with key >= key (the first node of all when
+// key is nil), or nil when there is none. When update is non-nil it receives,
+// per level, the last node before that position — what an insert or unlink
+// there has to patch.
+func (s *skiplist) descend(key []byte, update *[maxHeight]*slNode) *slNode {
 	x := s.head
 	for i := s.height - 1; i >= 0; i-- {
 		for x.next[i] != nil && bytes.Compare(x.next[i].key, key) < 0 {
 			x = x.next[i]
 		}
-		update[i] = x
+		if update != nil {
+			update[i] = x
+		}
 	}
-	if n := x.next[0]; n != nil && bytes.Equal(n.key, key) {
+	return x.next[0]
+}
+
+// put inserts or overwrites key. A tombstone records a deletion.
+func (s *skiplist) put(key, value []byte, tombstone bool) {
+	var update [maxHeight]*slNode
+	if n := s.descend(key, &update); n != nil && bytes.Equal(n.key, key) {
 		s.size += len(value) - len(n.value)
 		n.value = value
 		n.tombstone = tombstone
@@ -79,19 +89,39 @@ func (s *skiplist) put(key, value []byte, tombstone bool) {
 	s.count++
 }
 
+// remove unlinks key's node, if there is one.
+func (s *skiplist) remove(key []byte) {
+	var update [maxHeight]*slNode
+	n := s.descend(key, &update)
+	if n == nil || !bytes.Equal(n.key, key) {
+		return
+	}
+	for i := 0; i < s.height && update[i].next[i] == n; i++ {
+		update[i].next[i] = n.next[i]
+	}
+	s.size -= len(n.key) + len(n.value) + 16
+	s.count--
+}
+
 // get returns the value for key; found reports presence (including
 // tombstones, which return found=true, deleted=true).
 func (s *skiplist) get(key []byte) (value []byte, deleted, found bool) {
-	x := s.head
-	for i := s.height - 1; i >= 0; i-- {
-		for x.next[i] != nil && bytes.Compare(x.next[i].key, key) < 0 {
-			x = x.next[i]
-		}
-	}
-	if n := x.next[0]; n != nil && bytes.Equal(n.key, key) {
+	if n := s.descend(key, nil); n != nil && bytes.Equal(n.key, key) {
 		return n.value, n.tombstone, true
 	}
 	return nil, false, false
+}
+
+// memIter streams the memtable's entries in key order from a start position.
+type memIter struct{ n *slNode }
+
+func (it *memIter) next() (entry, bool, error) {
+	n := it.n
+	if n == nil {
+		return entry{}, false, nil
+	}
+	it.n = n.next[0]
+	return entry{key: n.key, value: n.value, tombstone: n.tombstone}, true, nil
 }
 
 // entries returns all entries in key order.

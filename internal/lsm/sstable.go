@@ -1,11 +1,12 @@
 package lsm
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sort"
 )
@@ -22,17 +23,24 @@ import (
 //	index         indexCount × { keyLen u32, key, offset u64 }  (every Nth key)
 //	footer        { indexOffset u64, crc u32 }
 //
-// Tables are immutable once written; reads use the bloom filter to skip
-// tables that cannot contain the key, then binary-search the sparse index and
-// scan at most indexInterval entries.
+// Tables are immutable once written. Opening one reads and verifies the whole
+// file once; after that the file stays open and a lookup reads only the block
+// of at most indexInterval entries the sparse index names, and a scan streams
+// blocks in order from the one holding its start key.
 
 const (
 	ssMagic       = 0x4C534D31 // "LSM1"
 	indexInterval = 16
+	// maxBloomHashes bounds the probe count read from a file, so a hostile
+	// table cannot turn every lookup into a four-billion-step loop.
+	maxBloomHashes = 64
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 type sstable struct {
 	path    string
+	f       tableFile // open for ReadAt for the table's lifetime
 	minKey  []byte
 	maxKey  []byte
 	count   int
@@ -40,7 +48,13 @@ type sstable struct {
 	bloom   []byte
 	hashes  uint32
 	index   []indexEntry
-	dataOff int64
+	dataEnd int64 // offset one past the last entry
+}
+
+// tableFile is what a table needs of its file once it is open.
+type tableFile interface {
+	io.ReaderAt
+	io.Closer
 }
 
 type indexEntry struct {
@@ -53,13 +67,6 @@ func writeSSTable(path string, entries []entry) (*sstable, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("lsm: refusing to write empty sstable %s", path)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("lsm: create sstable: %w", err)
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-
 	// Bloom filter sized at ~10 bits/key, 7 hashes. The bit count must equal
 	// len(bloom)*8 exactly — mayContain derives the modulus from the byte
 	// slice length, so any slack bits would shift every index.
@@ -72,161 +79,252 @@ func writeSSTable(path string, entries []entry) (*sstable, error) {
 	const bloomHashes = 7
 	addBloom := func(key []byte) {
 		h1 := crc32.ChecksumIEEE(key)
-		h2 := crc32.Checksum(key, crc32.MakeTable(crc32.Castagnoli))
+		h2 := crc32.Checksum(key, castagnoli)
 		for i := uint32(0); i < bloomHashes; i++ {
 			idx := (h1 + i*h2) % uint32(bloomBits)
 			bloom[idx/8] |= 1 << (idx % 8)
 		}
 	}
 
-	var buf bytes.Buffer
-	writeU32 := func(b *bytes.Buffer, v uint32) {
-		var tmp [4]byte
-		binary.LittleEndian.PutUint32(tmp[:], v)
-		b.Write(tmp[:])
-	}
-	writeU64 := func(b *bytes.Buffer, v uint64) {
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		b.Write(tmp[:])
-	}
-
-	writeU32(&buf, ssMagic)
-	writeU32(&buf, uint32(len(entries)))
+	var buf []byte
+	buf = binary.LittleEndian.AppendUint32(buf, ssMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
 	t := &sstable{path: path, count: len(entries)}
-	var index []indexEntry
 	for i, e := range entries {
 		if i%indexInterval == 0 {
-			index = append(index, indexEntry{key: e.key, offset: int64(buf.Len())})
+			t.index = append(t.index, indexEntry{key: e.key, offset: int64(len(buf))})
 		}
-		writeU32(&buf, uint32(len(e.key)))
-		buf.Write(e.key)
-		writeU32(&buf, uint32(len(e.value)))
-		buf.Write(e.value)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.key)))
+		buf = append(buf, e.key...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.value)))
+		buf = append(buf, e.value...)
 		if e.tombstone {
-			buf.WriteByte(1)
+			buf = append(buf, 1)
 		} else {
-			buf.WriteByte(0)
+			buf = append(buf, 0)
 		}
 		addBloom(e.key)
 	}
-	writeU32(&buf, uint32(len(bloom)))
-	buf.Write(bloom)
-	writeU32(&buf, bloomHashes)
-	indexOffset := int64(buf.Len())
-	writeU32(&buf, uint32(len(index)))
-	for _, ie := range index {
-		writeU32(&buf, uint32(len(ie.key)))
-		buf.Write(ie.key)
-		writeU64(&buf, uint64(ie.offset))
+	t.dataEnd = int64(len(buf))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(bloom)))
+	buf = append(buf, bloom...)
+	buf = binary.LittleEndian.AppendUint32(buf, bloomHashes)
+	indexOffset := uint64(len(buf))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.index)))
+	for _, ie := range t.index {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ie.key)))
+		buf = append(buf, ie.key...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(ie.offset))
 	}
-	writeU64(&buf, uint64(indexOffset))
-	crc := crc32.ChecksumIEEE(buf.Bytes())
-	writeU32(&buf, crc)
+	buf = binary.LittleEndian.AppendUint64(buf, indexOffset)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("lsm: create sstable: %w", err)
+	}
+	if _, err := f.Write(buf); err != nil {
+		_ = f.Close()
 		return nil, fmt.Errorf("lsm: write sstable: %w", err)
 	}
-	if err := w.Flush(); err != nil {
-		return nil, fmt.Errorf("lsm: flush sstable: %w", err)
-	}
 	if err := f.Sync(); err != nil {
+		_ = f.Close()
 		return nil, fmt.Errorf("lsm: sync sstable: %w", err)
 	}
+	t.f = f
 	t.minKey = append([]byte(nil), entries[0].key...)
 	t.maxKey = append([]byte(nil), entries[len(entries)-1].key...)
-	t.size = int64(buf.Len())
+	t.size = int64(len(buf))
 	t.bloom = bloom
 	t.hashes = bloomHashes
-	t.index = index
 	return t, nil
 }
 
-// openSSTable loads the metadata (bloom + index) of an existing table file.
+// openSSTable verifies an existing table file, loads its metadata (bloom +
+// index) and keeps the file open for block reads.
 func openSSTable(path string) (*sstable, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: open sstable: %w", err)
 	}
-	if len(data) < 20 {
-		return nil, fmt.Errorf("lsm: sstable %s truncated", path)
+	data, err := io.ReadAll(f)
+	if err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("lsm: read sstable: %w", err)
 	}
-	crcStored := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(data[:len(data)-4]) != crcStored {
-		return nil, fmt.Errorf("lsm: sstable %s checksum mismatch", path)
+	t, err := parseSSTable(data)
+	if err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("lsm: sstable %s: %w", path, err)
+	}
+	t.path, t.f = path, f
+	return t, nil
+}
+
+// byteReader is a bounds-checked cursor over bytes read from a table file:
+// every length it is handed comes from the file, so each is checked against
+// what is left before anything is sliced or allocated.
+type byteReader struct {
+	data []byte
+	pos  int
+}
+
+var errTruncated = errors.New("truncated or corrupt table data")
+
+func (r *byteReader) u32() (uint32, error) {
+	if len(r.data)-r.pos < 4 {
+		return 0, errTruncated
+	}
+	v := binary.LittleEndian.Uint32(r.data[r.pos:])
+	r.pos += 4
+	return v, nil
+}
+
+func (r *byteReader) u64() (uint64, error) {
+	if len(r.data)-r.pos < 8 {
+		return 0, errTruncated
+	}
+	v := binary.LittleEndian.Uint64(r.data[r.pos:])
+	r.pos += 8
+	return v, nil
+}
+
+// bytes returns the next n bytes, aliasing the underlying data.
+func (r *byteReader) bytes(n uint32) ([]byte, error) {
+	if uint64(len(r.data)-r.pos) < uint64(n) {
+		return nil, errTruncated
+	}
+	b := r.data[r.pos : r.pos+int(n) : r.pos+int(n)]
+	r.pos += int(n)
+	return b, nil
+}
+
+// entry reads one data entry; its key and value alias the underlying data.
+func (r *byteReader) entry() (entry, error) {
+	kl, err := r.u32()
+	if err != nil {
+		return entry{}, err
+	}
+	key, err := r.bytes(kl)
+	if err != nil {
+		return entry{}, err
+	}
+	vl, err := r.u32()
+	if err != nil {
+		return entry{}, err
+	}
+	val, err := r.bytes(vl)
+	if err != nil {
+		return entry{}, err
+	}
+	tomb, err := r.bytes(1)
+	if err != nil {
+		return entry{}, err
+	}
+	return entry{key: key, value: val, tombstone: tomb[0] == 1}, nil
+}
+
+// parseSSTable checks a whole table image — checksum, magic, every entry's
+// framing and order, the bloom section, and that the sparse index names real
+// entry offsets — and returns the metadata lookups need. Nothing in the
+// returned table aliases data.
+func parseSSTable(data []byte) (*sstable, error) {
+	if len(data) < 20 {
+		return nil, errTruncated
+	}
+	body := data[:len(data)-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return nil, errors.New("checksum mismatch")
 	}
 	if binary.LittleEndian.Uint32(data[0:4]) != ssMagic {
-		return nil, fmt.Errorf("lsm: sstable %s bad magic", path)
+		return nil, errors.New("bad magic")
 	}
-	entries, err := readAllEntries(data)
+	footer := len(body) - 8
+	r := byteReader{data: body[:footer], pos: 4}
+	count, _ := r.u32()
+	if count == 0 {
+		return nil, errors.New("no entries")
+	}
+	t := &sstable{size: int64(len(data))}
+	var blockStarts []indexEntry
+	var prev []byte
+	for i := uint32(0); i < count; i++ {
+		off := int64(r.pos)
+		e, err := r.entry()
+		if err != nil {
+			return nil, fmt.Errorf("entry %d: %w", i, err)
+		}
+		if i > 0 && bytes.Compare(prev, e.key) >= 0 {
+			return nil, fmt.Errorf("entry %d: keys out of order", i)
+		}
+		if i%indexInterval == 0 {
+			blockStarts = append(blockStarts, indexEntry{key: e.key, offset: off})
+		}
+		if i == 0 {
+			t.minKey = append([]byte(nil), e.key...)
+		}
+		prev = e.key
+		t.count++
+	}
+	t.maxKey = append([]byte(nil), prev...)
+	t.dataEnd = int64(r.pos)
+
+	bl, err := r.u32()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bloom: %w", err)
 	}
-	t := &sstable{path: path, count: len(entries), size: int64(len(data))}
-	if len(entries) > 0 {
-		t.minKey = entries[0].key
-		t.maxKey = entries[len(entries)-1].key
+	bloom, err := r.bytes(bl)
+	if err != nil {
+		return nil, fmt.Errorf("bloom: %w", err)
 	}
-	// Reconstruct bloom/index from the file tail.
-	pos := 8
-	for i := 0; i < len(entries); i++ {
-		kl := int(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4 + kl
-		vl := int(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4 + vl + 1
+	t.bloom = append([]byte(nil), bloom...)
+	if t.hashes, err = r.u32(); err != nil || t.hashes > maxBloomHashes {
+		return nil, errors.New("bloom: bad hash count")
 	}
-	bl := int(binary.LittleEndian.Uint32(data[pos:]))
-	pos += 4
-	t.bloom = append([]byte(nil), data[pos:pos+bl]...)
-	pos += bl
-	t.hashes = binary.LittleEndian.Uint32(data[pos:])
-	pos += 4
-	ic := int(binary.LittleEndian.Uint32(data[pos:]))
-	pos += 4
-	for i := 0; i < ic; i++ {
-		kl := int(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4
-		key := append([]byte(nil), data[pos:pos+kl]...)
-		pos += kl
-		off := int64(binary.LittleEndian.Uint64(data[pos:]))
-		pos += 8
-		t.index = append(t.index, indexEntry{key: key, offset: off})
+
+	if binary.LittleEndian.Uint64(body[footer:]) != uint64(r.pos) {
+		return nil, errors.New("index offset does not follow the bloom filter")
+	}
+	ic, err := r.u32()
+	if err != nil || int(ic) != len(blockStarts) {
+		return nil, fmt.Errorf("index: want %d blocks", len(blockStarts))
+	}
+	for i, want := range blockStarts {
+		kl, err := r.u32()
+		if err != nil {
+			return nil, fmt.Errorf("index %d: %w", i, err)
+		}
+		key, err := r.bytes(kl)
+		if err != nil {
+			return nil, fmt.Errorf("index %d: %w", i, err)
+		}
+		off, err := r.u64()
+		if err != nil {
+			return nil, fmt.Errorf("index %d: %w", i, err)
+		}
+		if int64(off) != want.offset || !bytes.Equal(key, want.key) {
+			return nil, fmt.Errorf("index %d does not name a block start", i)
+		}
+		t.index = append(t.index, indexEntry{key: append([]byte(nil), key...), offset: want.offset})
+	}
+	if r.pos != footer {
+		return nil, errors.New("trailing bytes after index")
 	}
 	return t, nil
 }
 
-// readAllEntries decodes every entry in an sstable byte image.
-func readAllEntries(data []byte) ([]entry, error) {
-	count := int(binary.LittleEndian.Uint32(data[4:8]))
-	pos := 8
-	out := make([]entry, 0, count)
-	for i := 0; i < count; i++ {
-		if pos+4 > len(data) {
-			return nil, fmt.Errorf("lsm: sstable truncated at entry %d", i)
-		}
-		kl := int(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4
-		key := append([]byte(nil), data[pos:pos+kl]...)
-		pos += kl
-		vl := int(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4
-		val := append([]byte(nil), data[pos:pos+vl]...)
-		pos += vl
-		tomb := data[pos] == 1
-		pos++
-		out = append(out, entry{key: key, value: val, tombstone: tomb})
-	}
-	return out, nil
-}
-
-// mayContain consults the bloom filter.
+// mayContain consults the table's key range and bloom filter: false means
+// the table certainly does not hold key.
 func (t *sstable) mayContain(key []byte) bool {
+	if bytes.Compare(key, t.minKey) < 0 || bytes.Compare(key, t.maxKey) > 0 {
+		return false
+	}
 	if len(t.bloom) == 0 {
 		return true
 	}
 	bits := uint32(len(t.bloom) * 8)
 	h1 := crc32.ChecksumIEEE(key)
-	h2 := crc32.Checksum(key, crc32.MakeTable(crc32.Castagnoli))
+	h2 := crc32.Checksum(key, castagnoli)
 	for i := uint32(0); i < t.hashes; i++ {
 		idx := (h1 + i*h2) % bits
 		if t.bloom[idx/8]&(1<<(idx%8)) == 0 {
@@ -236,60 +334,98 @@ func (t *sstable) mayContain(key []byte) bool {
 	return true
 }
 
-// get looks up key in the table by seeking via the sparse index.
-func (t *sstable) get(key []byte) (value []byte, deleted, found bool, err error) {
-	if bytes.Compare(key, t.minKey) < 0 || bytes.Compare(key, t.maxKey) > 0 {
-		return nil, false, false, nil
+// blockFor returns the index of the last block whose first key is <= key, or
+// -1 when key sorts before the whole table.
+func (t *sstable) blockFor(key []byte) int {
+	return sort.Search(len(t.index), func(i int) bool {
+		return bytes.Compare(t.index[i].key, key) > 0
+	}) - 1
+}
+
+// readBlock reads block i — the entries from one index point to the next —
+// and nothing else of the file.
+func (t *sstable) readBlock(i int) (byteReader, error) {
+	end := t.dataEnd
+	if i+1 < len(t.index) {
+		end = t.index[i+1].offset
 	}
+	buf := make([]byte, end-t.index[i].offset)
+	if _, err := t.f.ReadAt(buf, t.index[i].offset); err != nil {
+		return byteReader{}, fmt.Errorf("lsm: read sstable %s: %w", t.path, err)
+	}
+	return byteReader{data: buf}, nil
+}
+
+// get looks up key by reading the one block the sparse index names.
+func (t *sstable) get(key []byte) (value []byte, deleted, found bool, err error) {
 	if !t.mayContain(key) {
 		return nil, false, false, nil
 	}
-	data, err := os.ReadFile(t.path)
+	r, err := t.readBlock(t.blockFor(key))
 	if err != nil {
-		return nil, false, false, fmt.Errorf("lsm: read sstable: %w", err)
+		return nil, false, false, err
 	}
-	// Find the index block whose key is <= target.
-	i := sort.Search(len(t.index), func(i int) bool {
-		return bytes.Compare(t.index[i].key, key) > 0
-	}) - 1
-	if i < 0 {
-		return nil, false, false, nil
-	}
-	pos := int(t.index[i].offset)
-	// Scan at most to the next index block, clamped by the number of entries
-	// actually remaining — running further would misread the bloom/index
-	// sections as entries.
-	limit := indexInterval
-	if rem := t.count - i*indexInterval; rem < limit {
-		limit = rem
-	}
-	for scanned := 0; scanned < limit && pos+4 <= len(data); scanned++ {
-		kl := int(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4
-		k := data[pos : pos+kl]
-		pos += kl
-		vl := int(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4
-		v := data[pos : pos+vl]
-		pos += vl
-		tomb := data[pos] == 1
-		pos++
-		c := bytes.Compare(k, key)
-		if c == 0 {
-			return append([]byte(nil), v...), tomb, true, nil
+	for r.pos < len(r.data) {
+		e, err := r.entry()
+		if err != nil {
+			return nil, false, false, fmt.Errorf("lsm: sstable %s: %w", t.path, err)
 		}
-		if c > 0 {
+		switch c := bytes.Compare(e.key, key); {
+		case c == 0:
+			return e.value, e.tombstone, true, nil
+		case c > 0:
 			return nil, false, false, nil
 		}
 	}
 	return nil, false, false, nil
 }
 
-// allEntries reads every entry from disk (used by compaction and scans).
-func (t *sstable) allEntries() ([]entry, error) {
-	data, err := os.ReadFile(t.path)
-	if err != nil {
-		return nil, fmt.Errorf("lsm: read sstable: %w", err)
-	}
-	return readAllEntries(data)
+// tableIter streams a table's entries in key order, one block read at a time.
+type tableIter struct {
+	t     *sstable
+	block int // next block to read
+	r     byteReader
+	start []byte // entries below it are skipped; nil once passed
 }
+
+// iter returns an iterator over the entries with key >= start (all of them
+// when start is nil), beginning at the block that holds start.
+func (t *sstable) iter(start []byte) *tableIter {
+	it := &tableIter{t: t, start: start}
+	if start != nil {
+		if b := t.blockFor(start); b > 0 {
+			it.block = b
+		}
+	}
+	return it
+}
+
+func (it *tableIter) next() (entry, bool, error) {
+	for {
+		if it.r.pos >= len(it.r.data) {
+			if it.block >= len(it.t.index) {
+				return entry{}, false, nil
+			}
+			r, err := it.t.readBlock(it.block)
+			if err != nil {
+				return entry{}, false, err
+			}
+			it.r = r
+			it.block++
+		}
+		e, err := it.r.entry()
+		if err != nil {
+			return entry{}, false, fmt.Errorf("lsm: sstable %s: %w", it.t.path, err)
+		}
+		if it.start != nil {
+			if bytes.Compare(e.key, it.start) < 0 {
+				continue
+			}
+			it.start = nil
+		}
+		return e, true, nil
+	}
+}
+
+// close releases the table's file handle.
+func (t *sstable) close() error { return t.f.Close() }

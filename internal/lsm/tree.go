@@ -68,7 +68,7 @@ func Open(opts Options) (*Tree, error) {
 		}
 		t.wal = w
 		for _, r := range records {
-			t.mem.put(r.key, r.value, r.tombstone)
+			t.applyLocked(r)
 		}
 	}
 	return t, nil
@@ -91,6 +91,7 @@ func (t *Tree) loadTablesLocked() error {
 		}
 		tbl, err := openSSTable(name)
 		if err != nil {
+			t.closeTablesLocked()
 			return err
 		}
 		for len(t.levels) <= level {
@@ -125,39 +126,71 @@ func syncDir(dir string) error {
 
 // Put stores key -> value.
 func (t *Tree) Put(key, value []byte) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.wal != nil {
-		if err := t.wal.append(key, value, false); err != nil {
-			return err
-		}
-	}
-	t.mem.put(append([]byte(nil), key...), append([]byte(nil), value...), false)
-	return t.maybeFlushLocked()
+	return t.Apply([]Write{{Key: append([]byte(nil), key...), Value: append([]byte(nil), value...)}})
 }
 
 // Delete removes key (via tombstone).
 func (t *Tree) Delete(key []byte) error {
+	return t.Apply([]Write{{Key: append([]byte(nil), key...), Delete: true}})
+}
+
+// Apply performs a batch of mutations in order: one WAL append for the whole
+// batch, then the memtable inserts, then at most one flush. The tree keeps
+// the batch's key and value slices; the caller must not modify them after.
+func (t *Tree) Apply(batch []Write) error {
+	if len(batch) == 0 {
+		return nil
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.wal != nil {
-		if err := t.wal.append(key, nil, true); err != nil {
+		if err := t.wal.append(batch); err != nil {
 			return err
 		}
 	}
-	t.mem.put(append([]byte(nil), key...), nil, true)
+	for _, w := range batch {
+		t.applyLocked(w)
+	}
 	return t.maybeFlushLocked()
 }
 
-// Get returns the value for key, or found=false.
+// applyLocked folds one mutation into the memtable. A delete normally leaves
+// a tombstone, to shadow older versions in the tables; when no table can hold
+// the key there is nothing to shadow, so the key's memtable entry simply goes.
+// State that is created, checkpointed once and deleted — a window — then costs
+// the tree nothing after its deletion, instead of a dead entry and a
+// tombstone that every scan steps over until compaction reaches them.
+func (t *Tree) applyLocked(w Write) {
+	switch {
+	case !w.Delete:
+		t.mem.put(w.Key, w.Value, false)
+	case t.tablesMayContainLocked(w.Key):
+		t.mem.put(w.Key, nil, true)
+	default:
+		t.mem.remove(w.Key)
+	}
+}
+
+// tablesMayContainLocked reports whether any table may hold key. False is
+// definite: bloom filters have no false negatives.
+func (t *Tree) tablesMayContainLocked(key []byte) bool {
+	for _, lvl := range t.levels {
+		for _, tbl := range lvl {
+			if tbl.mayContain(key) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Get returns the value for key, or found=false. The returned slice must not
+// be modified.
 func (t *Tree) Get(key []byte) (value []byte, found bool, err error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if v, del, ok := t.mem.get(key); ok {
-		if del {
-			return nil, false, nil
-		}
-		return v, true, nil
+		return v, !del, nil
 	}
 	for _, lvl := range t.levels {
 		for _, tbl := range lvl {
@@ -166,78 +199,95 @@ func (t *Tree) Get(key []byte) (value []byte, found bool, err error) {
 				return nil, false, err
 			}
 			if ok {
-				if del {
-					return nil, false, nil
-				}
-				return v, true, nil
+				return v, !del, nil
 			}
 		}
 	}
 	return nil, false, nil
 }
 
-// Scan calls fn for every live key in [start, end) in key order. A nil end
-// means unbounded. fn returning false stops the scan.
+// Scan calls fn for every live key in [start, end) in key order. A nil start
+// or end means unbounded on that side. fn returning false stops the scan; the
+// slices it is handed are only valid during the call. The scan seeks each
+// source to start and stops at end, so its cost follows the range, not the
+// tree.
 func (t *Tree) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	merged, err := t.mergedEntriesLocked()
-	if err != nil {
+	// Sources newest-first: memtable, L0 newest..oldest, L1, ...
+	sources := []entryIter{&memIter{n: t.mem.descend(start, nil)}}
+	for _, lvl := range t.levels {
+		for _, tbl := range lvl {
+			if end != nil && bytes.Compare(tbl.minKey, end) >= 0 {
+				continue
+			}
+			if start != nil && bytes.Compare(tbl.maxKey, start) < 0 {
+				continue
+			}
+			sources = append(sources, tbl.iter(start))
+		}
+	}
+	return mergeIters(sources, func(e entry) bool {
+		if end != nil && bytes.Compare(e.key, end) >= 0 {
+			return false
+		}
+		return e.tombstone || fn(e.key, e.value)
+	})
+}
+
+// entryIter yields one source's entries in ascending key order.
+type entryIter interface {
+	next() (e entry, ok bool, err error)
+}
+
+// mergeIters is a streaming k-way merge: it calls fn once per distinct key in
+// ascending order with the version from the earliest source that has the key
+// (sources are ordered newest first, so the newest version wins), tombstones
+// included, until fn returns false. The handful of sources a tree has makes a
+// linear pick of the smallest head cheaper than a heap.
+func mergeIters(sources []entryIter, fn func(entry) bool) error {
+	heads := make([]entry, len(sources))
+	live := make([]bool, len(sources))
+	advance := func(i int) (err error) {
+		heads[i], live[i], err = sources[i].next()
 		return err
 	}
-	for _, e := range merged {
-		if e.tombstone {
-			continue
+	for i := range sources {
+		if err := advance(i); err != nil {
+			return err
 		}
-		if start != nil && bytes.Compare(e.key, start) < 0 {
-			continue
+	}
+	for {
+		best := -1
+		for i := range sources {
+			if live[i] && (best < 0 || bytes.Compare(heads[i].key, heads[best].key) < 0) {
+				best = i
+			}
 		}
-		if end != nil && bytes.Compare(e.key, end) >= 0 {
-			break
+		if best < 0 {
+			return nil
 		}
-		if !fn(e.key, e.value) {
+		e := heads[best]
+		for i := best; i < len(sources); i++ {
+			if live[i] && (i == best || bytes.Equal(heads[i].key, e.key)) {
+				if err := advance(i); err != nil {
+					return err
+				}
+			}
+		}
+		if !fn(e) {
 			return nil
 		}
 	}
-	return nil
 }
 
-// mergedEntriesLocked merges memtable + all levels, newest version winning.
-func (t *Tree) mergedEntriesLocked() ([]entry, error) {
-	// Gather sources newest-first: memtable, L0 newest..oldest, L1, ...
-	sources := [][]entry{t.mem.entries()}
-	for _, lvl := range t.levels {
-		for _, tbl := range lvl {
-			es, err := tbl.allEntries()
-			if err != nil {
-				return nil, err
-			}
-			sources = append(sources, es)
-		}
-	}
-	return mergeEntrySets(sources), nil
-}
-
-// mergeEntrySets merges sorted entry sets; earlier sets shadow later ones.
-func mergeEntrySets(sources [][]entry) []entry {
-	seen := make(map[string]struct{})
-	var out []entry
-	for _, src := range sources {
-		for _, e := range src {
-			k := string(e.key)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].key, out[j].key) < 0 })
-	return out
-}
+// walBudget is how many memtable budgets of log may accumulate before a flush
+// truncates it. Deletes that cancel their puts keep the memtable small while
+// the log still grows, so the memtable's size alone cannot bound the log.
+const walBudget = 4
 
 func (t *Tree) maybeFlushLocked() error {
-	if t.mem.size < t.opts.MemtableBytes {
+	if t.mem.size < t.opts.MemtableBytes && (t.wal == nil || t.wal.size < walBudget*int64(t.opts.MemtableBytes)) {
 		return nil
 	}
 	return t.flushLocked()
@@ -253,6 +303,10 @@ func (t *Tree) Flush() error {
 func (t *Tree) flushLocked() error {
 	entries := t.mem.entries()
 	if len(entries) == 0 {
+		// Whatever the log holds cancelled out.
+		if t.wal != nil {
+			return t.wal.reset()
+		}
 		return nil
 	}
 	path := filepath.Join(t.opts.Dir, fmt.Sprintf("tbl-%d-%08d.sst", 0, t.nextID))
@@ -283,26 +337,22 @@ func (t *Tree) maybeCompactLocked() error {
 		if len(t.levels[level]) < t.opts.CompactionFanIn {
 			continue
 		}
-		// Merge every table in this level into one table in the next level.
-		var sources [][]entry
-		for _, tbl := range t.levels[level] {
-			es, err := tbl.allEntries()
-			if err != nil {
-				return err
-			}
-			sources = append(sources, es)
-		}
-		merged := mergeEntrySets(sources)
-		// Drop tombstones when compacting into the last level.
+		// Merge every table in this level into one table in the next level,
+		// dropping tombstones when that is the last level.
 		lastLevel := level+1 >= len(t.levels)
-		if lastLevel {
-			live := merged[:0]
-			for _, e := range merged {
-				if !e.tombstone {
-					live = append(live, e)
-				}
+		sources := make([]entryIter, len(t.levels[level]))
+		for i, tbl := range t.levels[level] {
+			sources[i] = tbl.iter(nil)
+		}
+		var merged []entry
+		err := mergeIters(sources, func(e entry) bool {
+			if !(lastLevel && e.tombstone) {
+				merged = append(merged, e)
 			}
-			merged = live
+			return true
+		})
+		if err != nil {
+			return err
 		}
 		old := t.levels[level]
 		t.levels[level] = nil
@@ -319,6 +369,7 @@ func (t *Tree) maybeCompactLocked() error {
 			t.levels[level+1] = append([]*sstable{tbl}, t.levels[level+1]...)
 		}
 		for _, tbl := range old {
+			_ = tbl.close() // read-only handle
 			if err := os.Remove(tbl.path); err != nil {
 				return fmt.Errorf("lsm: remove compacted table: %w", err)
 			}
@@ -328,9 +379,10 @@ func (t *Tree) maybeCompactLocked() error {
 	return nil
 }
 
-// SyncWAL forces any WAL records buffered in the OS down to the medium. The
-// engine calls this at the checkpoint barrier so a completed checkpoint never
-// references writes the OS hasn't persisted. No-op when the WAL is disabled.
+// SyncWAL forces the WAL records the OS still buffers down to the medium, for
+// callers that need the log itself to survive a power failure. The engine's
+// checkpoints do not: what they store is complete without the log. No-op when
+// the WAL is disabled.
 func (t *Tree) SyncWAL() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -348,6 +400,7 @@ func (t *Tree) SyncWAL() error {
 func (t *Tree) ReplaceWithFiles(paths []string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.closeTablesLocked()
 	old, err := filepath.Glob(filepath.Join(t.opts.Dir, "tbl-*.sst"))
 	if err != nil {
 		return fmt.Errorf("lsm: glob tables: %w", err)
@@ -440,13 +493,26 @@ func (t *Tree) Stats() Stats {
 	return s
 }
 
-// Close flushes and releases the WAL.
+// MemtableBytes returns the memtable's flush threshold.
+func (t *Tree) MemtableBytes() int { return t.opts.MemtableBytes }
+
+// closeTablesLocked releases every table's read handle.
+func (t *Tree) closeTablesLocked() {
+	for _, lvl := range t.levels {
+		for _, tbl := range lvl {
+			_ = tbl.close() // read-only handle
+		}
+	}
+}
+
+// Close flushes the memtable and releases the WAL and the table handles.
 func (t *Tree) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.flushLocked(); err != nil {
 		return err
 	}
+	t.closeTablesLocked()
 	if t.wal != nil {
 		return t.wal.close()
 	}

@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +8,14 @@ import (
 	"io"
 	"os"
 )
+
+// Write is one mutation of a batch handed to Tree.Apply: a put of Key to
+// Value, or a tombstone for Key when Delete is set.
+type Write struct {
+	Key    []byte
+	Value  []byte
+	Delete bool
+}
 
 // wal is a write-ahead log of put/delete records. Record format:
 //
@@ -21,28 +28,23 @@ import (
 // after the garbage and be unreachable on the next replay.
 type wal struct {
 	f    *os.File
-	w    *bufio.Writer
 	path string
+	size int64  // bytes in the log
+	buf  []byte // frame buffer reused across appends
 }
 
-type walRecord struct {
-	key       []byte
-	value     []byte
-	tombstone bool
-}
+const walHeader = 13
 
-func openWAL(path string) (*wal, []walRecord, error) {
-	var records []walRecord
-	valid := int64(0)
+func openWAL(path string) (*wal, []Write, error) {
+	var records []Write
+	var valid int
 	if data, err := os.ReadFile(path); err == nil {
-		var n int
-		records, n = decodeWAL(data)
-		valid = int64(n)
-		if n < len(data) {
+		records, valid = decodeWAL(data)
+		if valid < len(data) {
 			// Torn tail: cut the log back to the last complete frame so the
 			// next append continues a decodable log instead of writing past
 			// garbage that replay will never cross.
-			if err := os.Truncate(path, valid); err != nil {
+			if err := os.Truncate(path, int64(valid)); err != nil {
 				return nil, nil, fmt.Errorf("lsm: truncate torn wal tail: %w", err)
 			}
 		}
@@ -53,63 +55,66 @@ func openWAL(path string) (*wal, []walRecord, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("lsm: open wal: %w", err)
 	}
-	return &wal{f: f, w: bufio.NewWriter(f), path: path}, records, nil
+	return &wal{f: f, path: path, size: int64(valid)}, records, nil
 }
 
 // decodeWAL parses records until the first torn or corrupt frame, returning
 // the decoded records and the byte length of the valid prefix.
-func decodeWAL(data []byte) ([]walRecord, int) {
-	var records []walRecord
+func decodeWAL(data []byte) ([]Write, int) {
+	var records []Write
 	pos := 0
-	for pos+13 <= len(data) {
+	for pos+walHeader <= len(data) {
 		crc := binary.LittleEndian.Uint32(data[pos:])
 		kl := int(binary.LittleEndian.Uint32(data[pos+4:]))
 		vl := int(binary.LittleEndian.Uint32(data[pos+8:]))
 		tomb := data[pos+12] == 1
-		end := pos + 13 + kl + vl
+		end := pos + walHeader + kl + vl
 		if kl < 0 || vl < 0 || end < pos || end > len(data) {
 			break // truncated tail (or corrupt lengths overflowing int)
 		}
-		body := data[pos+4 : end]
-		if crc32.ChecksumIEEE(body) != crc {
+		if crc32.ChecksumIEEE(data[pos+4:end]) != crc {
 			break // torn write
 		}
-		key := append([]byte(nil), data[pos+13:pos+13+kl]...)
-		val := append([]byte(nil), data[pos+13+kl:end]...)
-		records = append(records, walRecord{key: key, value: val, tombstone: tomb})
+		key := append([]byte(nil), data[pos+walHeader:pos+walHeader+kl]...)
+		val := append([]byte(nil), data[pos+walHeader+kl:end]...)
+		records = append(records, Write{Key: key, Value: val, Delete: tomb})
 		pos = end
 	}
 	return records, pos
 }
 
-func (w *wal) append(key, value []byte, tombstone bool) error {
-	hdr := make([]byte, 13)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(value)))
-	if tombstone {
-		hdr[12] = 1
+// append logs a batch: every record is framed into one buffer and handed to
+// the OS in a single write, so a barrier's worth of mutations costs one
+// syscall, not one per record. The bytes are the same as appending the
+// records one at a time.
+func (w *wal) append(batch []Write) error {
+	buf := w.buf[:0]
+	for _, r := range batch {
+		start := len(buf)
+		buf = binary.LittleEndian.AppendUint32(buf, 0) // crc, filled below
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Key)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Value)))
+		if r.Delete {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+		buf = append(buf, r.Key...)
+		buf = append(buf, r.Value...)
+		binary.LittleEndian.PutUint32(buf[start:], crc32.ChecksumIEEE(buf[start+4:]))
 	}
-	body := make([]byte, 0, 9+len(key)+len(value))
-	body = append(body, hdr[4:]...)
-	body = append(body, key...)
-	body = append(body, value...)
-	binary.LittleEndian.PutUint32(hdr[:4], crc32.ChecksumIEEE(body))
-	if _, err := w.w.Write(hdr[:4]); err != nil {
+	w.buf = buf
+	n, err := w.f.Write(buf)
+	w.size += int64(n)
+	if err != nil {
 		return fmt.Errorf("lsm: wal write: %w", err)
 	}
-	if _, err := w.w.Write(body); err != nil {
-		return fmt.Errorf("lsm: wal write: %w", err)
-	}
-	return w.w.Flush()
+	return nil
 }
 
-// sync forces buffered records to the medium. Appends only flush to the OS;
-// a checkpoint must not complete while the log it depends on can still be
-// lost to a power failure, so the engine syncs at the barrier boundary.
+// sync forces appended records to the medium. Appends only reach the OS; the
+// caller decides when the log must survive a power failure.
 func (w *wal) sync() error {
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("lsm: wal sync: %w", err)
 	}
@@ -118,22 +123,14 @@ func (w *wal) sync() error {
 
 // reset truncates the log (called after a successful memtable flush).
 func (w *wal) reset() error {
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("lsm: wal truncate: %w", err)
 	}
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("lsm: wal seek: %w", err)
 	}
-	w.w.Reset(w.f)
+	w.size = 0
 	return nil
 }
 
-func (w *wal) close() error {
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	return w.f.Close()
-}
+func (w *wal) close() error { return w.f.Close() }

@@ -20,7 +20,7 @@ func writeTestWAL(t *testing.T, dir string, n int) {
 	for i := 0; i < n; i++ {
 		k := []byte(fmt.Sprintf("key-%03d", i))
 		v := []byte(fmt.Sprintf("val-%03d", i))
-		if err := w.append(k, v, false); err != nil {
+		if err := w.append([]Write{{Key: k, Value: v}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +104,7 @@ func TestOpenWALTruncatesTornTailThenAppends(t *testing.T) {
 	if len(records) != 4 {
 		t.Fatalf("want 4 records after torn tail, got %d", len(records))
 	}
-	if err := w.append([]byte("after"), []byte("crash"), false); err != nil {
+	if err := w.append([]Write{{Key: []byte("after"), Value: []byte("crash")}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {
@@ -119,8 +119,8 @@ func TestOpenWALTruncatesTornTailThenAppends(t *testing.T) {
 		t.Fatalf("want 4 old + 1 new records after reopen, got %d", len(records))
 	}
 	last := records[len(records)-1]
-	if string(last.key) != "after" || string(last.value) != "crash" {
-		t.Fatalf("post-crash append lost: got %q=%q", last.key, last.value)
+	if string(last.Key) != "after" || string(last.Value) != "crash" {
+		t.Fatalf("post-crash append lost: got %q=%q", last.Key, last.Value)
 	}
 }
 
@@ -130,7 +130,7 @@ func TestWALSyncSurvivesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append([]byte("k"), []byte("v"), false); err != nil {
+	if err := w.append([]Write{{Key: []byte("k"), Value: []byte("v")}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.sync(); err != nil {
@@ -141,7 +141,7 @@ func TestWALSyncSurvivesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) != 1 || string(records[0].key) != "k" {
+	if len(records) != 1 || string(records[0].Key) != "k" {
 		t.Fatalf("synced record lost: %v", records)
 	}
 }

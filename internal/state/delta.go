@@ -232,25 +232,46 @@ func (b *LSMBackend) SetDeltaTracking(on bool) {
 	}
 }
 
-// SnapshotDelta serialises only the slots changed since checkpoint base. The
-// WAL is synced first so a completed checkpoint never references writes the
-// OS hasn't persisted.
+// SnapshotDelta serialises only the slots changed since checkpoint base.
 func (b *LSMBackend) SnapshotDelta(base, id int64) ([]byte, bool, error) {
 	if b.delta == nil {
 		return nil, false, nil
 	}
-	if err := b.tree.SyncWAL(); err != nil {
+	if err := b.flush(); err != nil {
 		return nil, false, err
 	}
 	dirty, ok := b.delta.capture(base, id)
 	if !ok {
 		return nil, false, nil
 	}
-	data, err := EncodeDeltaOps(deltaOpsFor(dirty, b.get))
+	data, err := EncodeDeltaOps(deltaOpsFor(dirty, b.logical))
 	if err != nil {
 		return nil, false, err
 	}
 	return data, true, nil
+}
+
+// logical returns what the slot (name, key) holds as an Image or a delta op
+// spells it: a plain value, a map[string]any for map state, a []any for list
+// state.
+func (b *LSMBackend) logical(name, key string) (any, bool) {
+	defer b.SetCurrentKey(b.currentKey)
+	b.SetCurrentKey(key)
+	if v, ok := b.Value(name).Get(); ok {
+		return v, true
+	}
+	m := b.Map(name)
+	if keys := m.Keys(); len(keys) > 0 {
+		out := make(map[string]any, len(keys))
+		for _, k := range keys {
+			out[k], _ = m.Get(k)
+		}
+		return out, true
+	}
+	if l := b.List(name).Get(); len(l) > 0 {
+		return l, true
+	}
+	return nil, false
 }
 
 // MarkFull records a full-snapshot boundary for later deltas.
@@ -260,17 +281,35 @@ func (b *LSMBackend) MarkFull(id int64) {
 	}
 }
 
-// ApplyDelta replays a delta payload on top of current contents.
+// ApplyDelta replays a delta payload on top of current contents. An op
+// replaces its whole slot, whichever kind of state held it before.
 func (b *LSMBackend) ApplyDelta(data []byte) error {
 	ops, err := DecodeDeltaOps(data)
 	if err != nil {
 		return err
 	}
+	defer b.SetCurrentKey(b.currentKey)
 	for _, op := range ops {
+		b.SetCurrentKey(op.Key)
+		b.Value(op.Name).Clear()
+		b.Map(op.Name).Clear()
+		b.List(op.Name).Clear()
 		if op.Delete {
-			b.del(op.Name, op.Key)
-		} else {
-			b.put(op.Name, op.Key, op.Value)
+			continue
+		}
+		switch v := op.Value.(type) {
+		case map[string]any:
+			m := b.Map(op.Name)
+			for sub, elem := range v {
+				m.Put(sub, elem)
+			}
+		case []any:
+			l := b.List(op.Name)
+			for _, item := range v {
+				l.Append(item)
+			}
+		default:
+			b.Value(op.Name).Set(v)
 		}
 	}
 	return nil
@@ -278,10 +317,14 @@ func (b *LSMBackend) ApplyDelta(data []byte) error {
 
 var _ DeltaBackend = (*LSMBackend)(nil)
 
-// SnapshotFiles flushes the memtable and returns the immutable SSTables
-// composing current state. Everything returned is fsynced (table writes and
-// the directory entry), so a checkpoint may reference these files by name.
+// SnapshotFiles flushes the cache and the memtable and returns the immutable
+// SSTables composing current state. Everything returned is fsynced (table
+// writes and the directory entry), so a checkpoint may reference these files
+// by name.
 func (b *LSMBackend) SnapshotFiles() ([]string, error) {
+	if err := b.flush(); err != nil {
+		return nil, err
+	}
 	if err := b.tree.Flush(); err != nil {
 		return nil, err
 	}
@@ -290,6 +333,7 @@ func (b *LSMBackend) SnapshotFiles() ([]string, error) {
 
 // RestoreFromFiles replaces backend contents with the given SSTable files.
 func (b *LSMBackend) RestoreFromFiles(paths []string) error {
+	b.resetCache()
 	return b.tree.ReplaceWithFiles(paths)
 }
 

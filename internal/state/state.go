@@ -17,9 +17,7 @@
 package state
 
 import (
-	"bytes"
 	"encoding/gob"
-	"fmt"
 	"hash/fnv"
 )
 
@@ -142,22 +140,4 @@ func init() {
 	gob.Register(float64(0))
 	gob.Register("")
 	gob.Register(false)
-}
-
-// encodeAny gob-encodes a value.
-func encodeAny(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, fmt.Errorf("state: encode %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeAny gob-decodes a value.
-func decodeAny(data []byte) (any, error) {
-	var v any
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
-		return nil, fmt.Errorf("state: decode: %w", err)
-	}
-	return v, nil
 }
