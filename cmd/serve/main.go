@@ -34,6 +34,7 @@ type subReport struct {
 	id         string
 	deltas     int
 	watermarks int
+	shed       int64    // records the server dropped for this subscriber
 	rows       []string // JSON-ish render of each delta, for fan-out equality
 	err        string
 }
@@ -88,7 +89,10 @@ func main() {
 	// Subscribe before the job starts so every delta is delivered: client 0
 	// gets the windowed aggregate, client 1 the filtered elephant feed, and
 	// every further client repeats the aggregate — those streams must come
-	// out identical (fan-out correctness observed from the outside).
+	// out identical (fan-out correctness observed from the outside). The
+	// queues hold the whole run, so no pump that the scheduler starves can
+	// shed: a subscriber that sheds is told, and rightly sees a different
+	// stream.
 	reports := make([]*subReport, *clients)
 	var wg sync.WaitGroup
 	for i := 0; i < *clients; i++ {
@@ -101,7 +105,7 @@ func main() {
 		if i == 1 {
 			id, query = "elephants", elephantQuery
 		}
-		sub, err := c.Subscribe(id, query, serve.SubscribeOptions{Buffer: 1024})
+		sub, err := c.Subscribe(id, query, serve.SubscribeOptions{Buffer: *n})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -117,6 +121,8 @@ func main() {
 					rep.rows = append(rep.rows, fmt.Sprintf("%s@%d:%v", f.Kind, f.Ts, f.Row))
 				case "watermark":
 					rep.watermarks++
+				case "eos":
+					rep.shed = f.Shed
 				case "error":
 					rep.err = fmt.Sprintf("%s: %s", f.Code, f.Err)
 				}
@@ -169,8 +175,8 @@ func main() {
 		if rep.err != "" {
 			status = rep.err
 		}
-		fmt.Printf("  client %d %-12s : %d deltas, %d watermarks, %s\n",
-			rep.client, rep.id, rep.deltas, rep.watermarks, status)
+		fmt.Printf("  client %d %-12s : %d deltas, %d watermarks, %d shed, %s\n",
+			rep.client, rep.id, rep.deltas, rep.watermarks, rep.shed, status)
 	}
 
 	// Fan-out proof: every aggregate subscriber saw the same delta stream.

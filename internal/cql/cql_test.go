@@ -2,8 +2,10 @@ package cql
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -211,15 +213,19 @@ func TestJoinWindowExpiry(t *testing.T) {
 
 func TestSlideEvaluatesAtBoundaries(t *testing.T) {
 	ex := MustPrepare("RSTREAM (SELECT COUNT(*) AS n FROM s [RANGE 100 SLIDE 10] GROUP BY k)")
-	// Pushes within one slide produce no output until the boundary crosses.
-	out := push(t, ex, "s", 101, Row{"k": "a"}) // first slide boundary 10
-	_ = out
+	// Pushes within one slide produce no output until a later tuple shows the
+	// boundary complete.
+	if o := push(t, ex, "s", 101, Row{"k": "a"}); len(o) != 0 {
+		t.Fatalf("evaluated before the boundary: %v", o)
+	}
 	o2 := push(t, ex, "s", 103, Row{"k": "a"})
 	if len(o2) != 0 {
 		t.Fatalf("mid-slide evaluation: %v", o2)
 	}
+	// The tuple at 112 completes boundary 110, which holds the two before it
+	// and not the tuple itself.
 	o3 := push(t, ex, "s", 112, Row{"k": "a"})
-	if len(o3) != 1 || o3[0].Row["n"] != 3.0 {
+	if len(o3) != 1 || o3[0].Row["n"] != 2.0 || o3[0].Ts != 110 {
 		t.Fatalf("slide boundary evaluation wrong: %v", o3)
 	}
 }
@@ -436,16 +442,21 @@ func TestRowsWindowQueryMatchesDirectEvaluation(t *testing.T) {
 // silently suppressed.
 func TestFirstSlidePeriodEmits(t *testing.T) {
 	ex := MustPrepare("RSTREAM (SELECT COUNT(*) AS n FROM s [RANGE 100 SLIDE 10] GROUP BY k)")
-	out := push(t, ex, "s", 1, Row{"k": "a"}) // boundary 0: must evaluate
-	if len(out) != 1 || out[0].Row["n"] != 1.0 {
-		t.Fatalf("first slide period suppressed: %v", out)
+	if o := push(t, ex, "s", 1, Row{"k": "a"}); len(o) != 0 {
+		t.Fatalf("evaluated before the first boundary: %v", o)
 	}
 	if o := push(t, ex, "s", 3, Row{"k": "a"}); len(o) != 0 {
 		t.Fatalf("mid-slide evaluation in first period: %v", o)
 	}
+	// Boundary 10 is the first period's: it must report both its tuples.
 	o3 := push(t, ex, "s", 12, Row{"k": "a"})
-	if len(o3) != 1 || o3[0].Row["n"] != 3.0 {
-		t.Fatalf("boundary after first period: %v", o3)
+	if len(o3) != 1 || o3[0].Row["n"] != 2.0 || o3[0].Ts != 10 {
+		t.Fatalf("first slide period suppressed: %v", o3)
+	}
+	// A watermark completes boundary 20 with no later tuple.
+	o4, err := ex.AdvanceTo(20)
+	if err != nil || len(o4) != 1 || o4[0].Row["n"] != 3.0 || o4[0].Ts != 20 {
+		t.Fatalf("boundary closed by watermark: %v %v", o4, err)
 	}
 }
 
@@ -500,4 +511,185 @@ func TestRowKeyTypeCollisionInBagDiff(t *testing.T) {
 	if keyPart("a\";b=i:1") == keyPart("a") || keyPart("1") == keyPart(int64(1)) {
 		t.Fatal("keyPart collisions")
 	}
+}
+
+// A tuple leaves its window at its own expiry instant, whatever call brings
+// time there: a watermark far ahead, or the next tuple.
+func TestExpiryCarriesItsOwnInstant(t *testing.T) {
+	for _, byTuple := range []bool{false, true} {
+		ex := MustPrepare("DSTREAM (SELECT price FROM trades [RANGE 10])")
+		push(t, ex, "trades", 0, Row{"price": 1.0})
+		push(t, ex, "trades", 5, Row{"price": 2.0})
+		var out []Output
+		if byTuple {
+			out = push(t, ex, "trades", 100, Row{"price": 3.0})
+		} else {
+			var err error
+			if out, err = ex.AdvanceTo(100); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(out) != 2 || out[0].Ts != 10 || out[0].Row["price"] != 1.0 || out[1].Ts != 15 || out[1].Row["price"] != 2.0 {
+			t.Fatalf("by tuple %v: want deletions at 10 and 15, got %v", byTuple, out)
+		}
+	}
+}
+
+// A tuple stamped before the executor's clock is treated as arriving now.
+func TestLateTupleArrivesNow(t *testing.T) {
+	ex := MustPrepare("ISTREAM (SELECT v FROM s [NOW])")
+	push(t, ex, "s", 10, Row{"v": 1.0})
+	if out := push(t, ex, "s", 7, Row{"v": 2.0}); len(out) != 1 || out[0].Ts != 10 {
+		t.Fatalf("late tuple: %v", out)
+	}
+	// With SLIDE, one that arrives for a boundary a watermark already
+	// completed joins the next boundary.
+	sl := MustPrepare("ISTREAM (SELECT COUNT(*) AS n FROM s [RANGE 10 SLIDE 10])")
+	push(t, sl, "s", 4, Row{})
+	if out, _ := sl.AdvanceTo(10); len(out) != 1 || out[0].Row["n"] != 1.0 || out[0].Ts != 10 {
+		t.Fatalf("boundary 10: %v", out)
+	}
+	push(t, sl, "s", 9, Row{})
+	if out, _ := sl.AdvanceTo(20); len(out) != 0 {
+		// Stamped 10, the tuple lies outside (10, 20]: the count of boundary
+		// 10 is not revised, and boundary 20 is empty.
+		t.Fatalf("late tuple revised an evaluated boundary: %v", out)
+	}
+}
+
+// Retraction gives an aggregate back what the leaving tuple put in, also when
+// that was not finite, and MIN/MAX find the next extreme among what is left.
+func TestAggregatesRetract(t *testing.T) {
+	ex := MustPrepare("RSTREAM (SELECT SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS n FROM s [ROWS 2])")
+	inf := math.Inf(1)
+	var last Row
+	for i, v := range []float64{3, inf, 1, 7, 7, 2} {
+		out := push(t, ex, "s", int64(i), Row{"v": v})
+		if len(out) != 1 {
+			t.Fatalf("push %d: %v", i, out)
+		}
+		last = out[0].Row
+		if i == 1 && last["s"] != inf {
+			t.Fatalf("sum with +Inf in the window: %v", last)
+		}
+		if i == 3 && (last["s"] != 8.0 || last["lo"] != 1.0 || last["hi"] != 7.0) {
+			t.Fatalf("after +Inf left: %v", last)
+		}
+		if i == 4 && (last["lo"] != 7.0 || last["hi"] != 7.0) {
+			t.Fatalf("duplicates of the extreme: %v", last)
+		}
+	}
+	if last["s"] != 9.0 || last["lo"] != 2.0 || last["hi"] != 7.0 || last["n"] != 2.0 {
+		t.Fatalf("final window {7, 2}: %v", last)
+	}
+}
+
+// The planner rejects what the evaluator used to meet only at the first
+// tuple, or not at all.
+func TestPlannerRejections(t *testing.T) {
+	for _, q := range []string{
+		"SELECT COUNT() FROM s",                   // used to index the missing argument
+		"SELECT SUM(v, w) FROM s",                 //
+		"SELECT SUM(COUNT(*)) FROM s",             // aggregate of an aggregate
+		"SELECT v FROM s WHERE SUM(v) > 1",        // aggregate in a scalar context
+		"SELECT f(v) FROM s",                      // unknown function
+		"SELECT v + COUNT(*) FROM s GROUP BY k",   // v was read from an arbitrary tuple of the group
+		"SELECT k FROM s GROUP BY k HAVING v > 1", // likewise
+		"SELECT v FROM s HAVING v > 1",            // HAVING without grouping was silently ignored
+		"SELECT v FROM s WHERE " + strings.Repeat("(", 5000) + "v" + strings.Repeat(")", 5000),
+	} {
+		if _, err := Prepare(q); err == nil {
+			t.Errorf("%.60q accepted", q)
+		}
+	}
+}
+
+// PushBatch and Advance are Push and AdvanceTo in column form.
+func TestPushBatchEqualsPush(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		query, stmt, tuples, final := genCase(seed)
+		want, err := runExecutor(stmt, tuples, nil, final)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, _ := NewExecutor(stmt)
+		rng := rand.New(rand.NewSource(seed))
+		var deltas []Delta
+		for len(tuples) > 0 {
+			n := 1 + rng.Intn(len(tuples))
+			if deltas, err = ex.PushBatch(tuples[:n], deltas); err != nil {
+				t.Fatal(err)
+			}
+			tuples = tuples[n:]
+		}
+		if deltas, err = ex.Advance(final, deltas); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]Output, len(deltas))
+		for i, d := range deltas {
+			got[i] = Output{Ts: d.Ts, Kind: d.Kind, Row: d.Row()}
+		}
+		if d := firstDifference(renderOutputs(want), renderOutputs(got)); d != "" {
+			t.Fatalf("seed %d: %s: %s", seed, query, d)
+		}
+	}
+}
+
+// benchTuples is the repository benchmark's shape: 100 tuples per event-time
+// millisecond over 4096 keys.
+func benchTuples(n int) []Tuple {
+	tuples := make([]Tuple, n)
+	for i := range tuples {
+		tuples[i] = Tuple{Stream: "events", Ts: int64(i / 100),
+			Row: Row{"k": fmt.Sprintf("k%d", i*7919%4096), "v": float64(i % 1000), "i": float64(i)}}
+	}
+	return tuples
+}
+
+// A [NOW] projection retains nothing and costs one projection per tuple: the
+// values slice, the Output slice and the Row map it is returned in.
+func TestNowProjectionPushAllocations(t *testing.T) {
+	ex := MustPrepare("ISTREAM (SELECT k, v, i FROM events [NOW])")
+	tuples := benchTuples(4096)
+	i := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		tu := tuples[i%len(tuples)]
+		i++
+		if out, err := ex.Push(tu.Stream, tu.Ts+int64(i/len(tuples))*100, tu.Row); err != nil || len(out) != 1 {
+			t.Fatalf("push: %v %v", out, err)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("%v allocations per push of a [NOW] projection, want at most 8", allocs)
+	}
+	if ex.refs[0].retain || len(ex.refs[0].q) != 0 {
+		t.Fatal("the window kept tuples no output can depend on")
+	}
+}
+
+func benchmarkPush(b *testing.B, query string, watermarkEvery int) {
+	ex := MustPrepare(query)
+	tuples := benchTuples(1 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tu := tuples[i%len(tuples)]
+		ts := tu.Ts + int64(i/len(tuples))*int64(len(tuples)/100)
+		if _, err := ex.Push(tu.Stream, ts, tu.Row); err != nil {
+			b.Fatal(err)
+		}
+		if watermarkEvery > 0 && i%watermarkEvery == watermarkEvery-1 {
+			if _, err := ex.AdvanceTo(ts - 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+func BenchmarkPushNowProjection(b *testing.B) {
+	benchmarkPush(b, "ISTREAM (SELECT k, v, i FROM events [NOW])", 0)
+}
+
+func BenchmarkPushTumblingSum(b *testing.B) {
+	benchmarkPush(b, "ISTREAM (SELECT k, SUM(v) AS s FROM events [RANGE 1000 SLIDE 1000] GROUP BY k)", 192)
 }

@@ -2,90 +2,203 @@ package cql
 
 import (
 	"fmt"
-	"math"
+	"strconv"
+	"strings"
 )
 
-// eval evaluates a scalar expression under a binding.
-func eval(e Expr, b binding) (any, error) {
+// scalar is a compiled expression over one binding: env[i] is the row bound
+// to the i-th FROM ref.
+type scalar func(env []Row) (any, error)
+
+// compileScalar resolves e against the first scope FROM refs (a JOIN ON
+// sees only the refs up to and including its own; everything else sees all).
+func (p *plan) compileScalar(e Expr, scope int) (scalar, error) {
 	switch x := e.(type) {
 	case *NumberLit:
-		return x.V, nil
+		return constant(x.V), nil
 	case *StringLit:
-		return x.V, nil
+		return constant(x.V), nil
 	case *BoolLit:
-		return x.V, nil
+		return constant(x.V), nil
 	case *Ident:
-		return lookup(x, b)
+		return p.compileIdent(x, scope)
 	case *Unary:
-		v, err := eval(x.X, b)
+		if x.Op != "-" && x.Op != "NOT" {
+			return nil, fmt.Errorf("cql: unknown unary op %q", x.Op)
+		}
+		in, err := p.compileScalar(x.X, scope)
 		if err != nil {
 			return nil, err
 		}
-		switch x.Op {
-		case "-":
-			f, err := toNum(v)
+		op := x.Op
+		return func(env []Row) (any, error) {
+			v, err := in(env)
 			if err != nil {
 				return nil, err
 			}
-			return -f, nil
-		case "NOT":
-			bv, ok := v.(bool)
-			if !ok {
-				return nil, fmt.Errorf("cql: NOT applied to non-boolean %T", v)
-			}
-			return !bv, nil
-		}
-		return nil, fmt.Errorf("cql: unknown unary op %q", x.Op)
+			return unaryOp(op, v)
+		}, nil
 	case *Binary:
-		return evalBinary(x, b)
+		l, err := p.compileScalar(x.Left, scope)
+		if err != nil {
+			return nil, err
+		}
+		r, err := p.compileScalar(x.Right, scope)
+		if err != nil {
+			return nil, err
+		}
+		op := x.Op
+		if op == "AND" || op == "OR" {
+			return func(env []Row) (any, error) {
+				lv, err := l(env)
+				if err != nil {
+					return nil, err
+				}
+				res, done, err := logicLeft(op, lv)
+				if done || err != nil {
+					return res, err
+				}
+				rv, err := r(env)
+				if err != nil {
+					return nil, err
+				}
+				return logicRight(op, rv)
+			}, nil
+		}
+		return func(env []Row) (any, error) {
+			lv, err := l(env)
+			if err != nil {
+				return nil, err
+			}
+			rv, err := r(env)
+			if err != nil {
+				return nil, err
+			}
+			return binaryOp(op, lv, rv)
+		}, nil
 	case *Call:
-		return nil, fmt.Errorf("cql: aggregate %s used in scalar context", x.Fn)
+		if aggregateFns[x.Fn] {
+			return nil, fmt.Errorf("cql: aggregate %s used in scalar context", x.Fn)
+		}
+		return nil, fmt.Errorf("cql: unknown function %q", x.Fn)
 	}
 	return nil, fmt.Errorf("cql: cannot evaluate %T", e)
 }
 
-func evalBinary(x *Binary, b binding) (any, error) {
-	if x.Op == "AND" || x.Op == "OR" {
-		l, err := eval(x.Left, b)
+func constant(v any) scalar {
+	return func([]Row) (any, error) { return v, nil }
+}
+
+// compileIdent resolves the stream binding at compile time. Which columns a
+// row has is only known per tuple, so an unqualified name over several refs
+// still searches them, and must find exactly one.
+func (p *plan) compileIdent(id *Ident, scope int) (scalar, error) {
+	name := id.Name
+	if id.Qualifier != "" {
+		slot := -1
+		for i, r := range p.refs[:scope] {
+			if r.name == id.Qualifier {
+				slot = i
+			}
+		}
+		if slot < 0 {
+			// Reported when evaluated, like a missing column: the binding may
+			// never be consulted.
+			err := fmt.Errorf("cql: unknown stream binding %q", id.Qualifier)
+			return func([]Row) (any, error) { return nil, err }, nil
+		}
+		qual := id.Qualifier
+		return func(env []Row) (any, error) {
+			v, ok := env[slot][name]
+			if !ok {
+				return nil, fmt.Errorf("cql: stream %q has no column %q", qual, name)
+			}
+			return v, nil
+		}, nil
+	}
+	if scope == 1 {
+		return func(env []Row) (any, error) {
+			v, ok := env[0][name]
+			if !ok {
+				return nil, fmt.Errorf("cql: unknown column %q", name)
+			}
+			return v, nil
+		}, nil
+	}
+	return func(env []Row) (any, error) {
+		var found any
+		hits := 0
+		for _, row := range env[:scope] {
+			if v, ok := row[name]; ok {
+				found = v
+				hits++
+			}
+		}
+		switch hits {
+		case 0:
+			return nil, fmt.Errorf("cql: unknown column %q", name)
+		case 1:
+			return found, nil
+		}
+		return nil, fmt.Errorf("cql: ambiguous column %q (qualify it)", name)
+	}, nil
+}
+
+func evalBool(e scalar, env []Row) (bool, error) {
+	v, err := e(env)
+	if err != nil {
+		return false, err
+	}
+	bv, ok := v.(bool)
+	if !ok {
+		return false, fmt.Errorf("cql: predicate is %T, not boolean", v)
+	}
+	return bv, nil
+}
+
+func unaryOp(op string, v any) (any, error) {
+	if op == "-" {
+		f, err := toNum(v)
 		if err != nil {
 			return nil, err
 		}
-		lb, ok := l.(bool)
-		if !ok {
-			return nil, fmt.Errorf("cql: %s on non-boolean %T", x.Op, l)
-		}
-		// Short-circuit.
-		if x.Op == "AND" && !lb {
-			return false, nil
-		}
-		if x.Op == "OR" && lb {
-			return true, nil
-		}
-		r, err := eval(x.Right, b)
-		if err != nil {
-			return nil, err
-		}
-		rb, ok := r.(bool)
-		if !ok {
-			return nil, fmt.Errorf("cql: %s on non-boolean %T", x.Op, r)
-		}
-		return rb, nil
+		return -f, nil
 	}
+	bv, ok := v.(bool)
+	if !ok {
+		return nil, fmt.Errorf("cql: NOT applied to non-boolean %T", v)
+	}
+	return !bv, nil
+}
 
-	l, err := eval(x.Left, b)
-	if err != nil {
-		return nil, err
+// logicLeft applies the left operand of AND/OR; done reports that it alone
+// decides the result.
+func logicLeft(op string, l any) (res any, done bool, err error) {
+	lb, ok := l.(bool)
+	if !ok {
+		return nil, true, fmt.Errorf("cql: %s on non-boolean %T", op, l)
 	}
-	r, err := eval(x.Right, b)
-	if err != nil {
-		return nil, err
+	if (op == "AND") != lb {
+		return lb, true, nil
 	}
+	return nil, false, nil
+}
 
-	// String comparison.
+func logicRight(op string, r any) (any, error) {
+	rb, ok := r.(bool)
+	if !ok {
+		return nil, fmt.Errorf("cql: %s on non-boolean %T", op, r)
+	}
+	return rb, nil
+}
+
+// binaryOp applies an arithmetic or comparison operator: two strings compare
+// and concatenate as strings, anything else must be numeric.
+func binaryOp(op string, l, r any) (any, error) {
 	ls, lIsStr := l.(string)
 	rs, rIsStr := r.(string)
 	if lIsStr && rIsStr {
-		switch x.Op {
+		switch op {
 		case "=":
 			return ls == rs, nil
 		case "!=":
@@ -101,9 +214,8 @@ func evalBinary(x *Binary, b binding) (any, error) {
 		case "+":
 			return ls + rs, nil
 		}
-		return nil, fmt.Errorf("cql: op %q on strings", x.Op)
+		return nil, fmt.Errorf("cql: op %q on strings", op)
 	}
-
 	lf, err := toNum(l)
 	if err != nil {
 		return nil, err
@@ -112,7 +224,7 @@ func evalBinary(x *Binary, b binding) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch x.Op {
+	switch op {
 	case "+":
 		return lf + rf, nil
 	case "-":
@@ -137,49 +249,7 @@ func evalBinary(x *Binary, b binding) (any, error) {
 	case ">=":
 		return lf >= rf, nil
 	}
-	return nil, fmt.Errorf("cql: unknown operator %q", x.Op)
-}
-
-// lookup resolves an identifier against a binding.
-func lookup(id *Ident, b binding) (any, error) {
-	if id.Qualifier != "" {
-		row, ok := b[id.Qualifier]
-		if !ok {
-			return nil, fmt.Errorf("cql: unknown stream binding %q", id.Qualifier)
-		}
-		v, ok := row[id.Name]
-		if !ok {
-			return nil, fmt.Errorf("cql: stream %q has no column %q", id.Qualifier, id.Name)
-		}
-		return v, nil
-	}
-	var found any
-	hits := 0
-	for _, row := range b {
-		if v, ok := row[id.Name]; ok {
-			found = v
-			hits++
-		}
-	}
-	switch hits {
-	case 0:
-		return nil, fmt.Errorf("cql: unknown column %q", id.Name)
-	case 1:
-		return found, nil
-	}
-	return nil, fmt.Errorf("cql: ambiguous column %q (qualify it)", id.Name)
-}
-
-func evalBool(e Expr, b binding) (bool, error) {
-	v, err := eval(e, b)
-	if err != nil {
-		return false, err
-	}
-	bv, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("cql: predicate is %T, not boolean", v)
-	}
-	return bv, nil
+	return nil, fmt.Errorf("cql: unknown operator %q", op)
 }
 
 func toNum(v any) (float64, error) {
@@ -199,113 +269,67 @@ func toNum(v any) (float64, error) {
 	return 0, fmt.Errorf("cql: %T is not numeric", v)
 }
 
-// evalOverGroup evaluates a (possibly aggregate) expression over a group of
-// bindings. Non-aggregate subexpressions are taken from the first binding.
-func evalOverGroup(e Expr, group []binding) (any, error) {
-	switch x := e.(type) {
-	case *Call:
-		if !aggregateFns[x.Fn] {
-			return nil, fmt.Errorf("cql: unknown function %q", x.Fn)
-		}
-		if x.Fn == "COUNT" {
-			if x.Star {
-				return float64(len(group)), nil
-			}
-			n := 0
-			for _, b := range group {
-				if v, err := eval(x.Args[0], b); err == nil && v != nil {
-					n++
-				}
-			}
-			return float64(n), nil
-		}
-		if len(x.Args) != 1 {
-			return nil, fmt.Errorf("cql: %s takes one argument", x.Fn)
-		}
-		var sum float64
-		minV := math.Inf(1)
-		maxV := math.Inf(-1)
-		n := 0
-		for _, b := range group {
-			v, err := eval(x.Args[0], b)
-			if err != nil {
-				return nil, err
-			}
-			f, err := toNum(v)
-			if err != nil {
-				return nil, err
-			}
-			sum += f
-			if f < minV {
-				minV = f
-			}
-			if f > maxV {
-				maxV = f
-			}
-			n++
-		}
-		if n == 0 {
-			return nil, nil
-		}
-		switch x.Fn {
-		case "SUM":
-			return sum, nil
-		case "AVG":
-			return sum / float64(n), nil
-		case "MIN":
-			return minV, nil
-		case "MAX":
-			return maxV, nil
-		}
-		return nil, fmt.Errorf("cql: unhandled aggregate %q", x.Fn)
-	case *Binary:
-		l, err := evalOverGroup(x.Left, group)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalOverGroup(x.Right, group)
-		if err != nil {
-			return nil, err
-		}
-		return evalBinary(&Binary{Op: x.Op, Left: litOf(l), Right: litOf(r)}, nil)
-	case *Unary:
-		v, err := evalOverGroup(x.X, group)
-		if err != nil {
-			return nil, err
-		}
-		return eval(&Unary{Op: x.Op, X: litOf(v)}, nil)
-	default:
-		if len(group) == 0 {
-			return nil, fmt.Errorf("cql: empty group")
-		}
-		return eval(e, group[0])
-	}
-}
-
-// litOf wraps an evaluated value back into a literal expression.
-func litOf(v any) Expr {
+// appendKeyPart canonicalises one value for row and GROUP BY keys with a type
+// tag, so values that print alike but differ in type — int64(1), float64(1),
+// "1" — cannot collide (a collision corrupts the IStream/DStream bag diff and
+// merges distinct groups). Strings are quoted so embedded separators cannot
+// forge a composite key either.
+func appendKeyPart(b []byte, v any) []byte {
 	switch x := v.(type) {
-	case float64:
-		return &NumberLit{V: x}
+	case nil:
+		return append(b, '_')
 	case string:
-		return &StringLit{V: x}
+		return strconv.AppendQuote(append(b, "s:"...), x)
 	case bool:
-		return &BoolLit{V: x}
+		return strconv.AppendBool(append(b, "b:"...), x)
 	case int64:
-		return &NumberLit{V: float64(x)}
+		return strconv.AppendInt(append(b, "i:"...), x, 10)
+	case float64:
+		return strconv.AppendFloat(append(b, "f:"...), x, 'g', -1, 64)
+	default:
+		return fmt.Appendf(b, "%T:%v", x, x)
 	}
-	return &NumberLit{V: 0}
 }
 
-// evalHaving evaluates a HAVING predicate over a group.
-func evalHaving(e Expr, group []binding) (bool, error) {
-	v, err := evalOverGroup(e, group)
-	if err != nil {
-		return false, err
+// appendRowKey canonicalises a row for bag comparison and output order; cols
+// is sorted, so equal rows give equal keys.
+func appendRowKey(b []byte, cols []string, vals []any) []byte {
+	for i, c := range cols {
+		b = append(b, c...)
+		b = append(b, '=')
+		b = appendKeyPart(b, vals[i])
+		b = append(b, ';')
 	}
-	b, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("cql: HAVING is %T, not boolean", v)
+	return b
+}
+
+// exprKey canonicalises an expression for GROUP BY matching.
+func exprKey(e Expr) string {
+	switch x := e.(type) {
+	case *Ident:
+		if x.Qualifier != "" {
+			return x.Qualifier + "." + x.Name
+		}
+		return x.Name
+	case *NumberLit:
+		return fmt.Sprint(x.V)
+	case *StringLit:
+		return "'" + x.V + "'"
+	case *BoolLit:
+		return fmt.Sprint(x.V)
+	case *Binary:
+		return "(" + exprKey(x.Left) + x.Op + exprKey(x.Right) + ")"
+	case *Unary:
+		return x.Op + exprKey(x.X)
+	case *Call:
+		var args []string
+		if x.Star {
+			args = append(args, "*")
+		}
+		for _, a := range x.Args {
+			args = append(args, exprKey(a))
+		}
+		return x.Fn + "(" + strings.Join(args, ",") + ")"
 	}
-	return b, nil
+	return "?"
 }

@@ -2,13 +2,14 @@ package cql
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
+	"math"
+	"slices"
 	"strings"
 )
 
 // Row is one tuple: column name -> value (float64, string, bool or int64;
-// int64 values are coerced to float64 in expressions).
+// int64 values are coerced to float64 in expressions). The executor never
+// writes to a Row it was given or has returned; neither should its callers.
 type Row map[string]any
 
 // OutputKind marks a stream output as an insertion or a deletion delta.
@@ -28,80 +29,103 @@ type Output struct {
 	Row  Row
 }
 
-// Executor incrementally evaluates one continuous query. Tuples must be
-// pushed in non-decreasing timestamp order (pair with an upstream reorder
-// stage for disordered inputs).
+// Tuple is one input element: a row of the named stream at an instant.
+type Tuple struct {
+	Stream string
+	Ts     int64
+	Row    Row
+}
+
+// Delta is an Output in column form: Vals[i] is the cell of column Cols[i],
+// and Cols is sorted by name. Both slices are shared (Cols between all the
+// deltas of a plan with fixed columns) and must not be written to.
+type Delta struct {
+	Ts   int64
+	Kind OutputKind
+	Cols []string
+	Vals []any
+}
+
+// Row returns the delta's row as a map.
+func (d Delta) Row() Row {
+	r := make(Row, len(d.Cols))
+	for i, c := range d.Cols {
+		r[c] = d.Vals[i]
+	}
+	return r
+}
+
+// Executor maintains one continuous query incrementally: a pushed tuple
+// enters its windows as +tuple, leaves them later as -tuple, and each such
+// change flows through join, filter, grouping and projection as a change to
+// the result relation, from which ISTREAM, DSTREAM or RSTREAM output is
+// derived. Nothing is re-evaluated.
+//
+// The output, timestamps included, is a function of the pushed tuple
+// sequence alone. The relation changes in steps, and each step's output is
+// sorted by row: every Push is a step at the tuple's instant; the tuples a
+// [RANGE n] or [NOW] window drops at instant ts+n (ts+1) are a step at that
+// instant, which precedes any tuple stamped with it; and a query with SLIDE s
+// merges everything up to and including each instant b·s into one step at
+// b·s. A step is emitted once a later tuple or AdvanceTo shows that time has
+// reached it, so AdvanceTo makes output appear earlier and never changes it.
+//
+// Tuples must be pushed in non-decreasing timestamp order (pair with an
+// upstream reorder stage for disordered inputs); a tuple older than the
+// executor's clock is treated as arriving now. After an error the executor
+// must be discarded.
 type Executor struct {
-	stmt *SelectStmt
-	wins []*winBuf
-	// prev is the previous instantaneous result relation as a bag.
-	prevCounts map[string]int
-	prevRows   map[string]Row
-	// lastSlide is only meaningful once slidePrimed is set: initializing it
-	// to a fixed boundary would silently suppress every tuple of that first
-	// slide period (tuples with ts/slide == 0 used to be dropped).
-	lastSlide   int64
-	slidePrimed bool
-	hasSlide    bool
-	slide       int64
+	*plan
+	env []Row
+
+	// now is the latest instant time is known to have reached; every step at
+	// or before it has been emitted, except the slide boundary pending below.
+	now     int64
+	started bool
+	// With SLIDE, dirty says the windows changed since the last boundary
+	// evaluated and pending is the boundary those changes belong to.
+	// evaluated says pending has been evaluated and a later change belongs to
+	// a later boundary.
+	dirty     bool
+	evaluated bool
+	pending   int64
+
+	step    []change
+	bag     map[string]*bagRow // the result relation, kept for RSTREAM only
+	rel     []*bagRow          // scratch: bag in output order
+	keyBuf  []byte
+	out     []Delta // where the current call's outputs go
+	scratch []Delta // Push and AdvanceTo's reusable dst
 }
 
-type winBuf struct {
-	ref     StreamRef
-	entries []winEntry
+// row is one result row; key is its canonical form, computed when a step
+// needs to order or match rows.
+type row struct {
+	cols []string
+	vals []any
+	key  string
 }
 
-type winEntry struct {
-	ts  int64
-	row Row
+// change is one row entering (+1) or leaving (-1) the result relation.
+type change struct {
+	sign int
+	r    row
+}
+
+type bagRow struct {
+	r row
+	n int
 }
 
 // NewExecutor validates and prepares a parsed query.
 func NewExecutor(stmt *SelectStmt) (*Executor, error) {
-	if len(stmt.From) == 0 {
-		return nil, fmt.Errorf("cql: query has no FROM clause")
+	p, err := compile(stmt)
+	if err != nil {
+		return nil, err
 	}
-	names := map[string]bool{}
-	ex := &Executor{stmt: stmt, prevCounts: map[string]int{}, prevRows: map[string]Row{}}
-	for _, ref := range stmt.From {
-		n := ref.name()
-		if names[n] {
-			return nil, fmt.Errorf("cql: duplicate stream binding %q (use AS aliases)", n)
-		}
-		names[n] = true
-		ex.wins = append(ex.wins, &winBuf{ref: ref})
-		if ref.Window.Slide > 0 {
-			// The executor gates evaluation on one shared slide; silently
-			// keeping only the last ref's value would make the other windows'
-			// SLIDE clauses dead letters.
-			if ex.hasSlide && ex.slide != ref.Window.Slide {
-				return nil, fmt.Errorf("cql: FROM refs declare different SLIDE values (%d vs %d); all windowed refs must share one slide", ex.slide, ref.Window.Slide)
-			}
-			ex.hasSlide = true
-			ex.slide = ref.Window.Slide
-		}
-	}
-	// Aggregate queries: every non-aggregate select item must appear in
-	// GROUP BY (checked syntactically by string form).
-	agg := len(stmt.GroupBy) > 0
-	for _, it := range stmt.Items {
-		if !it.Star && isAggregate(it.Expr) {
-			agg = true
-		}
-	}
-	if agg {
-		groupSet := map[string]bool{}
-		for _, g := range stmt.GroupBy {
-			groupSet[exprKey(g)] = true
-		}
-		for _, it := range stmt.Items {
-			if it.Star {
-				return nil, fmt.Errorf("cql: SELECT * is not allowed with aggregation")
-			}
-			if !isAggregate(it.Expr) && !groupSet[exprKey(it.Expr)] {
-				return nil, fmt.Errorf("cql: non-aggregate select item %q not in GROUP BY", exprKey(it.Expr))
-			}
-		}
+	ex := &Executor{plan: p, env: make([]Row, len(p.refs))}
+	if p.emit == EmitRStream {
+		ex.bag = map[string]*bagRow{}
 	}
 	return ex, nil
 }
@@ -109,12 +133,10 @@ func NewExecutor(stmt *SelectStmt) (*Executor, error) {
 // Streams returns the distinct stream names the query reads from, in FROM
 // order — serving layers use this to validate references and route taps.
 func (ex *Executor) Streams() []string {
-	seen := map[string]bool{}
 	var out []string
-	for _, w := range ex.wins {
-		if !seen[w.ref.Stream] {
-			seen[w.ref.Stream] = true
-			out = append(out, w.ref.Stream)
+	for _, r := range ex.refs {
+		if !slices.Contains(out, r.stream) {
+			out = append(out, r.stream)
 		}
 	}
 	return out
@@ -122,11 +144,7 @@ func (ex *Executor) Streams() []string {
 
 // MustPrepare parses and prepares a query, panicking on error.
 func MustPrepare(src string) *Executor {
-	stmt, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	ex, err := NewExecutor(stmt)
+	ex, err := Prepare(src)
 	if err != nil {
 		panic(err)
 	}
@@ -143,299 +161,384 @@ func Prepare(src string) (*Executor, error) {
 }
 
 // Push feeds one tuple into the named stream at the given timestamp and
-// returns the emitted outputs.
+// returns the outputs it completes.
 func (ex *Executor) Push(stream string, ts int64, row Row) ([]Output, error) {
-	matched := false
-	for _, w := range ex.wins {
-		if w.ref.Stream == stream {
-			w.entries = append(w.entries, winEntry{ts: ts, row: row})
-			matched = true
-		}
-	}
-	if !matched {
-		return nil, fmt.Errorf("cql: tuple for unknown stream %q", stream)
-	}
-	if ex.hasSlide {
-		boundary := ts / ex.slide
-		if ex.slidePrimed && boundary == ex.lastSlide {
-			return nil, nil
-		}
-		ex.slidePrimed = true
-		ex.lastSlide = boundary
-	}
-	return ex.AdvanceTo(ts)
+	var err error
+	ex.scratch, err = ex.PushBatch([]Tuple{{Stream: stream, Ts: ts, Row: row}}, ex.scratch[:0])
+	return outputs(ex.scratch), err
 }
 
-// AdvanceTo evaluates the query at the given instant without inserting a
-// tuple — needed to observe pure expirations (DSTREAM deltas with no
-// arrivals).
+// AdvanceTo tells the executor that no tuple stamped ts or earlier will
+// follow — a watermark — and returns the outputs that completes: windows
+// emptying with no arrival to show it, and slide boundaries up to ts.
 func (ex *Executor) AdvanceTo(ts int64) ([]Output, error) {
-	for _, w := range ex.wins {
-		w.expire(ts)
-	}
-	rel, err := ex.evaluate()
-	if err != nil {
-		return nil, err
-	}
-	return ex.diff(ts, rel), nil
+	var err error
+	ex.scratch, err = ex.Advance(ts, ex.scratch[:0])
+	return outputs(ex.scratch), err
 }
 
-// expire applies the stream-to-relation window at instant ts.
-func (w *winBuf) expire(ts int64) {
-	switch w.ref.Window.Kind {
-	case WindowUnbounded:
-	case WindowNow:
-		kept := w.entries[:0]
-		for _, e := range w.entries {
-			if e.ts == ts {
-				kept = append(kept, e)
-			}
-		}
-		w.entries = kept
-	case WindowRange:
-		cut := ts - w.ref.Window.N
-		i := 0
-		for i < len(w.entries) && w.entries[i].ts <= cut {
-			i++
-		}
-		w.entries = w.entries[i:]
-	case WindowRows:
-		if int64(len(w.entries)) > w.ref.Window.N {
-			w.entries = w.entries[int64(len(w.entries))-w.ref.Window.N:]
+// PushBatch is Push for a run of tuples, with the outputs in column form
+// appended to dst. On error the outputs up to the failing tuple are returned
+// with it.
+func (ex *Executor) PushBatch(tuples []Tuple, dst []Delta) ([]Delta, error) {
+	ex.out = dst
+	var err error
+	for i := range tuples {
+		if err = ex.push(tuples[i].Stream, tuples[i].Ts, tuples[i].Row); err != nil {
+			break
 		}
 	}
+	dst, ex.out = ex.out, nil
+	return dst, err
 }
 
-// binding maps a FROM-ref name to the row bound from its window.
-type binding map[string]Row
-
-// evaluate computes the instantaneous result relation.
-func (ex *Executor) evaluate() ([]Row, error) {
-	// Cartesian product across windows, filtered by JOIN ON + WHERE.
-	bindings := []binding{{}}
-	for _, w := range ex.wins {
-		var next []binding
-		for _, b := range bindings {
-			for _, e := range w.entries {
-				nb := make(binding, len(b)+1)
-				for k, v := range b {
-					nb[k] = v
-				}
-				nb[w.ref.name()] = e.row
-				if w.ref.JoinOn != nil {
-					ok, err := evalBool(w.ref.JoinOn, nb)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						continue
-					}
-				}
-				next = append(next, nb)
-			}
-		}
-		bindings = next
-	}
-	if ex.stmt.Where != nil {
-		kept := bindings[:0]
-		for _, b := range bindings {
-			ok, err := evalBool(ex.stmt.Where, b)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				kept = append(kept, b)
-			}
-		}
-		bindings = kept
-	}
-
-	grouped := len(ex.stmt.GroupBy) > 0
-	for _, it := range ex.stmt.Items {
-		if !it.Star && isAggregate(it.Expr) {
-			grouped = true
-		}
-	}
-	if !grouped {
-		out := make([]Row, 0, len(bindings))
-		for _, b := range bindings {
-			row, err := ex.project(b)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, row)
-		}
-		return out, nil
-	}
-
-	// Grouped aggregation.
-	groups := map[string][]binding{}
-	var order []string
-	for _, b := range bindings {
-		var parts []string
-		for _, g := range ex.stmt.GroupBy {
-			v, err := eval(g, b)
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, keyPart(v))
-		}
-		k := strings.Join(parts, "\x00")
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], b)
-	}
-	var out []Row
-	for _, k := range order {
-		gb := groups[k]
-		row := Row{}
-		for i, it := range ex.stmt.Items {
-			v, err := evalOverGroup(it.Expr, gb)
-			if err != nil {
-				return nil, err
-			}
-			row[it.outName(i)] = v
-		}
-		if ex.stmt.Having != nil {
-			ok, err := evalHaving(ex.stmt.Having, gb)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		out = append(out, row)
-	}
-	return out, nil
+// Advance is AdvanceTo with the outputs in column form appended to dst.
+func (ex *Executor) Advance(ts int64, dst []Delta) ([]Delta, error) {
+	ex.out = dst
+	err := ex.advance(ts, ts)
+	dst, ex.out = ex.out, nil
+	return dst, err
 }
 
-// project builds one output row from a binding.
-func (ex *Executor) project(b binding) (Row, error) {
-	row := Row{}
-	for i, it := range ex.stmt.Items {
-		if it.Star {
-			if len(ex.wins) == 1 {
-				for k, v := range b[ex.wins[0].ref.name()] {
-					row[k] = v
-				}
-			} else {
-				for name, r := range b {
-					for k, v := range r {
-						row[name+"."+k] = v
-					}
-				}
-			}
-			continue
-		}
-		v, err := eval(it.Expr, b)
-		if err != nil {
-			return nil, err
-		}
-		row[it.outName(i)] = v
+func outputs(ds []Delta) []Output {
+	if len(ds) == 0 {
+		return nil
 	}
-	return row, nil
-}
-
-// diff compares the new relation against the previous instant's and emits
-// the configured deltas.
-func (ex *Executor) diff(ts int64, rel []Row) []Output {
-	cur := map[string]int{}
-	curRows := map[string]Row{}
-	for _, r := range rel {
-		k := rowKey(r)
-		cur[k]++
-		curRows[k] = r
+	out := make([]Output, len(ds))
+	for i, d := range ds {
+		out[i] = Output{Ts: d.Ts, Kind: d.Kind, Row: d.Row()}
 	}
-	var out []Output
-	switch ex.stmt.Emit {
-	case EmitRStream:
-		for _, r := range rel {
-			out = append(out, Output{Ts: ts, Kind: Insert, Row: r})
-		}
-	case EmitIStream:
-		for k, n := range cur {
-			for d := ex.prevCounts[k]; d < n; d++ {
-				out = append(out, Output{Ts: ts, Kind: Insert, Row: curRows[k]})
-			}
-		}
-	case EmitDStream:
-		for k, n := range ex.prevCounts {
-			for d := cur[k]; d < n; d++ {
-				out = append(out, Output{Ts: ts, Kind: Delete, Row: ex.prevRows[k]})
-			}
-		}
-	}
-	ex.prevCounts = cur
-	ex.prevRows = curRows
-	sort.Slice(out, func(i, j int) bool { return rowKey(out[i].Row) < rowKey(out[j].Row) })
 	return out
 }
 
-// rowKey canonicalises a row for bag comparison.
-func rowKey(r Row) string {
-	keys := make([]string, 0, len(r))
-	for k := range r {
-		keys = append(keys, k)
+func (ex *Executor) push(stream string, ts int64, r Row) error {
+	matched := false
+	for _, rf := range ex.refs {
+		matched = matched || rf.stream == stream
 	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "%s=%s;", k, keyPart(r[k]))
+	if !matched {
+		return fmt.Errorf("cql: tuple for unknown stream %q", stream)
 	}
-	return sb.String()
+	if ex.started && ts < ex.now {
+		ts = ex.now
+	}
+	// The tuple shows that time has reached ts, and that every instant
+	// before ts has all its tuples.
+	if err := ex.advance(ts, satAdd(ts, -1)); err != nil {
+		return err
+	}
+	for i, rf := range ex.refs {
+		if rf.stream == stream {
+			if err := ex.insert(i, ts, r); err != nil {
+				return err
+			}
+		}
+	}
+	return ex.changed(ts)
 }
 
-// keyPart canonicalises one value for rowKey and GROUP BY keys with a type
-// tag, so values that print alike but differ in type — int64(1), float64(1),
-// "1" — cannot collide (a collision corrupts the IStream/DStream bag diff and
-// merges distinct groups). Strings are quoted so embedded separators cannot
-// forge a composite key either.
-func keyPart(v any) string {
-	switch x := v.(type) {
-	case nil:
-		return "_"
-	case string:
-		return "s:" + strconv.Quote(x)
-	case bool:
-		return "b:" + strconv.FormatBool(x)
-	case int64:
-		return "i:" + strconv.FormatInt(x, 10)
-	case float64:
-		return "f:" + strconv.FormatFloat(x, 'g', -1, 64)
-	default:
-		return fmt.Sprintf("%T:%v", x, x)
+// advance emits, in time order, every step that is now known complete: time
+// has reached instant now, and no tuple stamped closed or earlier follows.
+func (ex *Executor) advance(now, closed int64) error {
+	for {
+		e, expiring := ex.nextExpiry()
+		if expiring && e <= now && (!ex.dirty || e <= ex.pending) {
+			if err := ex.expire(e); err != nil {
+				return err
+			}
+			if err := ex.changed(e); err != nil {
+				return err
+			}
+			continue
+		}
+		if ex.dirty && ex.pending <= closed {
+			ex.dirty, ex.evaluated = false, true
+			if err := ex.endStep(ex.pending); err != nil {
+				return err
+			}
+			continue
+		}
+		break
+	}
+	if !ex.started || now > ex.now {
+		ex.now, ex.started = now, true
+	}
+	return nil
+}
+
+// changed records that the windows changed at instant ts: a step of its own,
+// or part of the step at the next slide boundary.
+func (ex *Executor) changed(ts int64) error {
+	if ex.slide == 0 {
+		return ex.endStep(ts)
+	}
+	if !ex.dirty {
+		// A boundary is evaluated once: a tuple that arrives for one already
+		// evaluated (it was stamped at or before a watermark) joins the next.
+		b := ceilTo(ts, ex.slide)
+		if ex.evaluated && b <= ex.pending {
+			b = satAdd(ex.pending, ex.slide)
+		}
+		ex.dirty, ex.pending = true, b
+	}
+	return nil
+}
+
+// expiry is the instant a tuple stamped ts leaves r's window.
+func (r *ref) expiry(ts int64) int64 {
+	if r.win.Kind == WindowNow {
+		return satAdd(ts, 1)
+	}
+	return satAdd(ts, r.win.N)
+}
+
+// nextExpiry is the earliest instant at which a retained tuple or a pane
+// leaves its window.
+func (ex *Executor) nextExpiry() (int64, bool) {
+	if g := ex.paned(); g != nil {
+		return g.paneExpiry()
+	}
+	e, any := int64(math.MaxInt64), false
+	for _, r := range ex.refs {
+		if r.head < len(r.q) && (r.win.Kind == WindowNow || r.win.Kind == WindowRange) {
+			e, any = min(e, r.expiry(r.q[r.head].ts)), true
+		}
+	}
+	return e, any
+}
+
+// expire retracts everything that leaves a window at instant e.
+func (ex *Executor) expire(e int64) error {
+	if g := ex.paned(); g != nil {
+		g.expirePanes(e)
+		return nil
+	}
+	for i, r := range ex.refs {
+		if r.win.Kind != WindowNow && r.win.Kind != WindowRange {
+			continue
+		}
+		for r.head < len(r.q) && r.expiry(r.q[r.head].ts) <= e {
+			if err := ex.delta(i, r.pop(), -1); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// pop removes and returns the oldest live tuple.
+func (r *ref) pop() tuple {
+	t := r.q[r.head]
+	r.q[r.head] = tuple{}
+	r.head++
+	if r.head == len(r.q) {
+		r.q, r.head = r.q[:0], 0
+	} else if r.head >= 64 && r.head*2 >= len(r.q) {
+		n := copy(r.q, r.q[r.head:])
+		clear(r.q[n:])
+		r.q, r.head = r.q[:n], 0
+	}
+	return t
+}
+
+// insert applies +tuple to the i-th ref's window, and the -tuple of the row
+// a full [ROWS n] window drops to make room.
+func (ex *Executor) insert(i int, ts int64, row Row) error {
+	r := ex.refs[i]
+	if r.win.N == 0 && (r.win.Kind == WindowRange || r.win.Kind == WindowRows) {
+		return nil // an empty window: the tuple is never in it
+	}
+	t := tuple{ts: ts, row: row}
+	if err := ex.delta(i, t, +1); err != nil {
+		return err
+	}
+	if !r.retain {
+		return nil
+	}
+	r.q = append(r.q, t)
+	if r.win.Kind == WindowRows && int64(len(r.q)-r.head) > r.win.N {
+		return ex.delta(i, r.pop(), -1)
+	}
+	return nil
+}
+
+// delta applies one tuple entering (+1) or leaving (-1) the i-th window to
+// everything downstream: the tuple is joined with the live tuples of the
+// other windows, and each binding that passes JOIN ON and WHERE changes the
+// result.
+func (ex *Executor) delta(i int, t tuple, sign int) error {
+	if g := ex.paned(); g != nil {
+		p := g.paneFor(t.ts)
+		ex.env[0] = t.row
+		if ok, err := ex.passes(); !ok {
+			return err
+		}
+		return g.addToPane(p, ex.env)
+	}
+	return ex.bind(0, i, t.row, sign)
+}
+
+// bind enumerates the bindings of refs j.. around the tuple that changed at
+// ref i.
+func (ex *Executor) bind(j, i int, changed Row, sign int) error {
+	if j == len(ex.refs) {
+		return ex.bound(sign)
+	}
+	if j == i {
+		return ex.bindRow(j, i, changed, changed, sign)
+	}
+	r := ex.refs[j]
+	for k := r.head; k < len(r.q); k++ {
+		if err := ex.bindRow(j, i, r.q[k].row, changed, sign); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (ex *Executor) bindRow(j, i int, row, changed Row, sign int) error {
+	ex.env[j] = row
+	if on := ex.refs[j].on; on != nil {
+		if ok, err := evalBool(on, ex.env); !ok {
+			return err
+		}
+	}
+	return ex.bind(j+1, i, changed, sign)
+}
+
+// bound applies one complete binding entering or leaving the join.
+func (ex *Executor) bound(sign int) error {
+	if ok, err := ex.passes(); !ok {
+		return err
+	}
+	if ex.group != nil {
+		return ex.group.apply(ex.env, int64(sign))
+	}
+	r, err := ex.project(ex.env)
+	if err != nil {
+		return err
+	}
+	ex.step = append(ex.step, change{sign: sign, r: r})
+	return nil
+}
+
+func (ex *Executor) passes() (bool, error) {
+	if ex.where == nil {
+		return true, nil
+	}
+	return evalBool(ex.where, ex.env)
+}
+
+// endStep closes the step at instant ts: the changes it accumulated become
+// the net change of the result relation, and that the query's output.
+func (ex *Executor) endStep(ts int64) error {
+	var err error
+	if ex.group != nil {
+		ex.step, err = ex.group.flush(ex.step)
+	}
+	if err == nil {
+		if ex.emit == EmitRStream {
+			ex.emitRelation(ts)
+		} else {
+			ex.emitNet(ts)
+		}
+	}
+	clear(ex.step)
+	ex.step = ex.step[:0]
+	return err
+}
+
+// emitNet emits the rows the step added (ISTREAM) or removed (DSTREAM).
+func (ex *Executor) emitNet(ts int64) {
+	want, kind := +1, Insert
+	if ex.emit == EmitDStream {
+		want, kind = -1, Delete
+	}
+	wanted := 0
+	for _, c := range ex.step {
+		if c.sign == want {
+			wanted++
+		}
+	}
+	if wanted == 0 {
+		return
+	}
+	if len(ex.step) == 1 {
+		ex.out = append(ex.out, Delta{Ts: ts, Kind: kind, Cols: ex.step[0].r.cols, Vals: ex.step[0].r.vals})
+		return
+	}
+	// Rows that both entered and left cancel as a bag; what remains goes out
+	// in row order.
+	for i := range ex.step {
+		ex.keyRow(&ex.step[i].r)
+	}
+	slices.SortFunc(ex.step, func(a, b change) int { return strings.Compare(a.r.key, b.r.key) })
+	for i := 0; i < len(ex.step); {
+		j, net := i, 0
+		var r row
+		for ; j < len(ex.step) && ex.step[j].r.key == ex.step[i].r.key; j++ {
+			net += ex.step[j].sign
+			if ex.step[j].sign == want {
+				r = ex.step[j].r
+			}
+		}
+		for n := net * want; n > 0; n-- {
+			ex.out = append(ex.out, Delta{Ts: ts, Kind: kind, Cols: r.cols, Vals: r.vals})
+		}
+		i = j
 	}
 }
 
-// exprKey canonicalises an expression for GROUP BY matching.
-func exprKey(e Expr) string {
-	switch x := e.(type) {
-	case *Ident:
-		if x.Qualifier != "" {
-			return x.Qualifier + "." + x.Name
-		}
-		return x.Name
-	case *NumberLit:
-		return fmt.Sprint(x.V)
-	case *StringLit:
-		return "'" + x.V + "'"
-	case *BoolLit:
-		return fmt.Sprint(x.V)
-	case *Binary:
-		return "(" + exprKey(x.Left) + x.Op + exprKey(x.Right) + ")"
-	case *Unary:
-		return x.Op + exprKey(x.X)
-	case *Call:
-		var args []string
-		if x.Star {
-			args = append(args, "*")
-		}
-		for _, a := range x.Args {
-			args = append(args, exprKey(a))
-		}
-		return x.Fn + "(" + strings.Join(args, ",") + ")"
+func (ex *Executor) keyRow(r *row) {
+	if r.key == "" {
+		ex.keyBuf = appendRowKey(ex.keyBuf[:0], r.cols, r.vals)
+		r.key = string(ex.keyBuf)
 	}
-	return "?"
+}
+
+// emitRelation applies the step to the materialised relation and emits all
+// of it, in row order.
+func (ex *Executor) emitRelation(ts int64) {
+	for i := range ex.step {
+		c := &ex.step[i]
+		ex.keyRow(&c.r)
+		b := ex.bag[c.r.key]
+		if b == nil {
+			b = &bagRow{r: c.r}
+			ex.bag[c.r.key] = b
+		}
+		if b.n += c.sign; b.n == 0 {
+			delete(ex.bag, c.r.key)
+		}
+	}
+	ex.rel = ex.rel[:0]
+	for _, b := range ex.bag {
+		ex.rel = append(ex.rel, b)
+	}
+	slices.SortFunc(ex.rel, func(a, b *bagRow) int { return strings.Compare(a.r.key, b.r.key) })
+	for _, b := range ex.rel {
+		for n := b.n; n > 0; n-- {
+			ex.out = append(ex.out, Delta{Ts: ts, Kind: Insert, Cols: b.r.cols, Vals: b.r.vals})
+		}
+	}
+	clear(ex.rel)
+}
+
+func satAdd(a, b int64) int64 {
+	if b > 0 && a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	if b < 0 && a < math.MinInt64-b {
+		return math.MinInt64
+	}
+	return a + b
+}
+
+// ceilTo rounds t up to a multiple of w > 0.
+func ceilTo(t, w int64) int64 {
+	b := t - t%w
+	if t%w > 0 {
+		b = satAdd(b, w)
+	}
+	return b
 }

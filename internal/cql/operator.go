@@ -29,6 +29,8 @@ type cqlOperator struct {
 	stream  string
 	extract func(e core.Event) (Row, bool)
 	ex      *Executor
+	tuples  []Tuple // scratch
+	deltas  []Delta // scratch
 }
 
 // Open compiles the query.
@@ -42,37 +44,27 @@ func (o *cqlOperator) Open(core.Context) error {
 }
 
 func (o *cqlOperator) ProcessElement(e core.Event, ctx core.Context) error {
-	row, ok := o.extract(e)
-	if !ok {
-		return nil
-	}
-	outs, err := o.ex.Push(o.stream, e.Timestamp, row)
-	if err != nil {
-		return err
-	}
-	for _, out := range outs {
-		kind := "+"
-		if out.Kind == Delete {
-			kind = "-"
-		}
-		ctx.Emit(core.Event{Key: kind, Timestamp: out.Ts, Value: out.Row})
-	}
-	return nil
+	return o.push(ctx, e)
 }
 
-// ProcessBatch implements core.BatchOperator: rows are pushed through the
-// executor in arrival order exactly as the per-record path would, so output
-// deltas are identical; the whole-batch call elides the per-record dispatch
-// and key-scoping overhead that dominates projection-only (stateless SELECT)
-// queries.
+// ProcessBatch implements core.BatchOperator: the batch goes through the
+// executor in one PushBatch, in arrival order, so output deltas are identical
+// to the per-record path.
 func (o *cqlOperator) ProcessBatch(cols *core.Columns, ctx core.BatchContext) error {
-	for i := range cols.Events {
-		ctx.SetKey(cols.Events[i].Key)
-		if err := o.ProcessElement(cols.Events[i], ctx); err != nil {
-			return err
+	return o.push(ctx, cols.Events...)
+}
+
+func (o *cqlOperator) push(ctx core.Context, events ...core.Event) error {
+	o.tuples = o.tuples[:0]
+	for _, e := range events {
+		if row, ok := o.extract(e); ok {
+			o.tuples = append(o.tuples, Tuple{Stream: o.stream, Ts: e.Timestamp, Row: row})
 		}
 	}
-	return nil
+	var err error
+	o.deltas, err = o.ex.PushBatch(o.tuples, o.deltas[:0])
+	o.emit(ctx)
+	return err
 }
 
 // OnWatermark advances the executor so pure expirations (DSTREAM deltas) are
@@ -81,16 +73,19 @@ func (o *cqlOperator) OnWatermark(wm int64, ctx core.Context) error {
 	if wm < 0 || wm > 1<<60 {
 		return nil // ignore the sentinel final watermark
 	}
-	outs, err := o.ex.AdvanceTo(wm)
-	if err != nil {
-		return err
-	}
-	for _, out := range outs {
+	var err error
+	o.deltas, err = o.ex.Advance(wm, o.deltas[:0])
+	o.emit(ctx)
+	return err
+}
+
+func (o *cqlOperator) emit(ctx core.Context) {
+	for _, d := range o.deltas {
 		kind := "+"
-		if out.Kind == Delete {
+		if d.Kind == Delete {
 			kind = "-"
 		}
-		ctx.Emit(core.Event{Key: kind, Timestamp: out.Ts, Value: out.Row})
+		ctx.Emit(core.Event{Key: kind, Timestamp: d.Ts, Value: d.Row()})
 	}
-	return nil
+	clear(o.deltas)
 }

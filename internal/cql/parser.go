@@ -19,6 +19,9 @@ func Parse(src string) (*SelectStmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(toks) > maxQueryTokens {
+		return nil, fmt.Errorf("cql: query has more than %d tokens", maxQueryTokens)
+	}
 	p := &parser{toks: toks}
 	stmt, err := p.parseQuery()
 	if err != nil {
@@ -30,6 +33,11 @@ func Parse(src string) (*SelectStmt, error) {
 	}
 	return stmt, nil
 }
+
+// maxQueryTokens bounds a query's size. The parser, the planner and exprKey
+// recurse over expressions as deep as the text nests them, and query text
+// arrives from the network: it must not be able to choose their stack depth.
+const maxQueryTokens = 4096
 
 type parser struct {
 	toks []token

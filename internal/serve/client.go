@@ -89,9 +89,11 @@ func (c *Client) Close() error {
 func (c *Client) readLoop() {
 	r := bufio.NewReader(c.conn)
 	var readErr error
+	var body []byte
 	for {
 		var f Frame
-		if err := readFrame(r, &f); err != nil {
+		var err error
+		if body, err = readFrameBuf(r, body, &f); err != nil {
 			readErr = err
 			break
 		}

@@ -16,19 +16,16 @@ import (
 // not yet run through the subscription's query. The executor runs on the
 // consumer's goroutine so a slow or expensive query costs its own subscriber,
 // never the job.
-type Item struct {
-	Stream string
-	Ts     int64
-	Row    cql.Row
-}
+type Item = cql.Tuple
 
 // delivery is one batch handed to a subscription's pump: drained records
 // first, then (conservatively after them) the coalesced watermark, then
-// terminal conditions.
+// terminal conditions. items is only valid until the next call to next.
 type delivery struct {
 	items  []Item
 	wm     int64
 	wmSet  bool
+	shed   int64 // records shed so far
 	eos    bool
 	killed bool
 	closed bool
@@ -263,6 +260,8 @@ type Subscription struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	q    *load.BoundedBuffer[Item]
+	// batch is next's reusable delivery buffer.
+	batch []Item
 	// wms holds the latest watermark per input stream; the subscription's
 	// event time is the min across all its streams (EOS'd streams stop
 	// constraining it).
@@ -391,7 +390,7 @@ func (s *Subscription) next() delivery {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		var d delivery
+		d := delivery{items: s.batch[:0], shed: s.q.Shed()}
 		for {
 			it, ok := s.q.Pop()
 			if !ok {
@@ -399,6 +398,7 @@ func (s *Subscription) next() delivery {
 			}
 			d.items = append(d.items, it)
 		}
+		s.batch = d.items
 		if len(d.items) > 0 {
 			s.delivered.Add(int64(len(d.items)))
 			s.depth.Set(0)
@@ -414,4 +414,3 @@ func (s *Subscription) next() delivery {
 		s.cond.Wait()
 	}
 }
-

@@ -97,7 +97,9 @@ type Frame struct {
 	Ts        int64   `json:"ts,omitempty"`
 	Row       cql.Row `json:"row,omitempty"`
 	Watermark int64   `json:"watermark,omitempty"`
-	// Shed reports the subscription's total shed count (on eos frames).
+	// Shed reports how many records the subscription's overflow policy has
+	// dropped so far: on a watermark frame whenever the count has grown since
+	// the last one sent, and on the eos frame.
 	Shed int64 `json:"shed,omitempty"`
 
 	// Error payload: a SQLSTATE-style code plus human-readable detail.
@@ -112,38 +114,40 @@ const maxFrame = 1 << 20
 // writeFrame writes one length-prefixed JSON frame: 4-byte big-endian body
 // length, then the body.
 func writeFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
+	b, err := appendFrame(nil, v)
 	if err != nil {
-		return fmt.Errorf("serve: marshal frame: %w", err)
-	}
-	if len(body) > maxFrame {
-		return fmt.Errorf("serve: frame too large (%d bytes)", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err = w.Write(body)
+	_, err = w.Write(b)
 	return err
 }
 
 // readFrame reads one length-prefixed JSON frame into v.
 func readFrame(r io.Reader, v any) error {
+	_, err := readFrameBuf(r, nil, v)
+	return err
+}
+
+// readFrameBuf is readFrame with the body read into buf, grown as needed and
+// returned for the next call; v keeps no reference to it.
+func readFrameBuf(r io.Reader, buf []byte, v any) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
+		return buf, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {
-		return fmt.Errorf("serve: frame length %d exceeds limit", n)
+		return buf, fmt.Errorf("serve: frame length %d exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
 	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("serve: decode frame: %w", err)
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, err
 	}
-	return nil
+	if err := json.Unmarshal(buf, v); err != nil {
+		return buf, fmt.Errorf("serve: decode frame: %w", err)
+	}
+	return buf, nil
 }

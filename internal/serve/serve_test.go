@@ -56,6 +56,28 @@ func runJob(t *testing.T, job *core.Job) {
 	}
 }
 
+// pipeSubscribe subscribes over an in-memory connection and returns the
+// client's end once the server has acknowledged. Every server write blocks
+// until the test reads it, which makes the subscriber exactly as slow as the
+// test wants; done closes when the server has let go of the connection.
+func pipeSubscribe(t *testing.T, srv *Server, req *Request) (client net.Conn, done chan struct{}) {
+	t.Helper()
+	client, server := net.Pipe()
+	done = make(chan struct{})
+	go func() {
+		srv.handle(server)
+		close(done)
+	}()
+	if err := writeFrame(client, req); err != nil {
+		t.Fatal(err)
+	}
+	var ack Frame
+	if err := readFrame(client, &ack); err != nil || ack.Op != "subscribe" {
+		t.Fatalf("subscribe ack: %+v %v", ack, err)
+	}
+	return client, done
+}
+
 // collect drains a subscription until its channel closes, splitting deltas
 // from the terminal frame.
 func collect(sub *ClientSub) (deltas []*Frame, terminal *Frame) {
@@ -159,9 +181,39 @@ func TestServeStalledSubscriberDoesNotPerturbJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Lagging subscriber: a connection nobody reads while the job runs. A
+	// pipe has no buffer, so its pump blocks in its first write and its
+	// 8-slot queue sheds behind it.
+	lagging, lagDone := pipeSubscribe(t, srv, &Request{Seq: 1, Op: "subscribe", ID: "lag",
+		Query: "ISTREAM (SELECT k, v FROM s [NOW])", Buffer: 8})
 
 	job, sink := buildTapped(t, 500, tap)
 	runJob(t, job)
+
+	// The lagging subscriber is told it is losing records while it is still
+	// subscribed: the count rides on its watermark frames, and eos repeats
+	// the total.
+	var toldShed int64
+	for {
+		var f Frame
+		if err := readFrame(lagging, &f); err != nil {
+			t.Fatalf("lagging subscriber: %v", err)
+		}
+		if f.Op == "watermark" && f.Shed != 0 {
+			if f.Shed <= toldShed {
+				t.Fatalf("watermark repeats shed count %d after %d", f.Shed, toldShed)
+			}
+			toldShed = f.Shed
+		}
+		if f.Op == "eos" {
+			if toldShed == 0 || toldShed > f.Shed || f.Shed < 500-16 {
+				t.Fatalf("lagging subscriber was told of %d shed before eos reported %d", toldShed, f.Shed)
+			}
+			break
+		}
+	}
+	lagging.Close()
+	<-lagDone
 
 	deltas, terminal := collect(healthy)
 	if len(deltas) != 500 || terminal == nil || terminal.Op != "eos" {
@@ -476,5 +528,101 @@ func TestServeSubscribeThenImmediateEOS(t *testing.T) {
 	deltas, terminal := collect(sub)
 	if len(deltas) != 0 || terminal == nil || terminal.Op != "eos" || terminal.Shed != 0 {
 		t.Fatalf("immediate EOS: %d deltas, terminal %+v", len(deltas), terminal)
+	}
+}
+
+// A continuous query's answer does not depend on how fast its client drains:
+// a subscriber the server has to wait for at every write sees its deliveries
+// cut at other places and its watermarks coalesced, and still receives the
+// same deltas, byte for byte, as one that keeps up.
+func TestServePaceSkewedSubscribersIdenticalDeltas(t *testing.T) {
+	const n = 1500
+	const query = "ISTREAM (SELECT k, COUNT(*) AS n, SUM(v) AS s FROM s [RANGE 200 SLIDE 100] GROUP BY k)"
+	srv := NewServer(Options{})
+	tap := srv.RegisterStream("s", extractKV)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Queues as long as the stream: neither subscriber can shed.
+	fast, err := c.Subscribe("q", query, SubscribeOptions{Buffer: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, slowDone := pipeSubscribe(t, srv, &Request{Seq: 1, Op: "subscribe", ID: "q", Query: query, Buffer: n})
+
+	type result struct {
+		deltas     []string
+		watermarks int
+		shed       int64
+	}
+	fastc, slowc := make(chan result, 1), make(chan result, 1)
+	go func() {
+		var r result
+		for f := range fast.Frames {
+			switch f.Op {
+			case "delta":
+				b, _ := json.Marshal(f)
+				r.deltas = append(r.deltas, string(b))
+			case "watermark":
+				r.watermarks++
+				r.shed += f.Shed
+			case "eos":
+				r.shed += f.Shed
+			}
+		}
+		fastc <- r
+	}()
+	go func() {
+		var r result
+		for {
+			var f Frame
+			if err := readFrame(slow, &f); err != nil {
+				t.Errorf("slow subscriber: %v", err)
+				break
+			}
+			time.Sleep(time.Millisecond)
+			if f.Op == "delta" {
+				b, _ := json.Marshal(&f)
+				r.deltas = append(r.deltas, string(b))
+			} else if r.shed += f.Shed; f.Op == "watermark" {
+				r.watermarks++
+			} else {
+				break
+			}
+		}
+		slowc <- r
+	}()
+
+	job, _ := buildTapped(t, n, tap)
+	runJob(t, job)
+	f, s := <-fastc, <-slowc
+	slow.Close()
+	<-slowDone
+
+	if f.shed != 0 || s.shed != 0 {
+		t.Fatalf("shed %d and %d records behind queues that hold the whole stream", f.shed, s.shed)
+	}
+	// Timestamps run from 0 to 10(n-1): boundary 0 holds one tuple, and each
+	// later boundary that a tuple beyond it completes reports three keys.
+	if want := 1 + 3*(10*(n-1)/100); len(f.deltas) != want {
+		t.Fatalf("fast subscriber got %d deltas, want %d", len(f.deltas), want)
+	}
+	if len(s.deltas) != len(f.deltas) {
+		t.Fatalf("slow subscriber got %d deltas, fast %d (watermarks %d and %d)", len(s.deltas), len(f.deltas), s.watermarks, f.watermarks)
+	}
+	for i := range f.deltas {
+		if f.deltas[i] != s.deltas[i] {
+			t.Fatalf("delta %d diverged with pace:\n fast %s\n slow %s", i, f.deltas[i], s.deltas[i])
+		}
+	}
+	if s.watermarks >= f.watermarks {
+		t.Logf("slow subscriber saw %d watermark frames, fast %d: the paces did not differ this run", s.watermarks, f.watermarks)
 	}
 }

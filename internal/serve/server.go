@@ -157,39 +157,42 @@ type connState struct {
 	id   int64
 
 	writeMu sync.Mutex
-	w       *bufio.Writer
 
 	subMu sync.Mutex
 	subs  map[string]*Subscription // client-chosen id -> sub
 	pumps sync.WaitGroup
 }
 
-// send writes one frame and flushes; concurrent-safe. A frame whose payload
-// cannot be marshalled degrades to an error frame instead of tearing the
-// stream (mirroring the queryable encode-failure fix).
-func (c *connState) send(f *Frame) error {
-	return c.sendBatch([]*Frame{f})
-}
-
-// sendBatch writes frames under one lock with a single flush — the pump's
-// delivery batching: under load deliveries carry many records, so the
-// per-frame syscall cost amortises exactly when throughput matters.
-func (c *connState) sendBatch(frames []*Frame) error {
+// write sends whole frames in one call; concurrent-safe. A pump's delivery is
+// one write, so the per-frame syscall cost amortises exactly when throughput
+// matters.
+func (c *connState) write(frames []byte) error {
 	if len(frames) == 0 {
 		return nil
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	for _, f := range frames {
-		if err := writeFrame(c.w, f); err != nil {
-			fallback := &Frame{Seq: f.Seq, Op: "error", ID: f.ID, Code: CodeInvalidParam,
-				Err: fmt.Sprintf("response not serialisable: %v", err)}
-			if err := writeFrame(c.w, fallback); err != nil {
-				return err
-			}
-		}
+	_, err := c.conn.Write(frames)
+	return err
+}
+
+// send writes one frame.
+func (c *connState) send(f *Frame) error {
+	b, err := appendFrame(nil, f)
+	return c.write(orErrorFrame(b, err, f.Seq, f.ID))
+}
+
+// orErrorFrame gives back b, the result of appending a frame. If that append
+// failed, an error frame for seq and id follows in the frame's place: a
+// payload that cannot be marshalled must not tear the stream (mirroring the
+// queryable encode-failure fix).
+func orErrorFrame(b []byte, err error, seq uint64, id string) []byte {
+	if err == nil {
+		return b
 	}
-	return c.w.Flush()
+	b, _ = appendFrame(b, &Frame{Seq: seq, Op: "error", ID: id, Code: CodeInvalidParam,
+		Err: fmt.Sprintf("response not serialisable: %v", err)})
+	return b
 }
 
 func (s *Server) handle(conn net.Conn) {
@@ -197,7 +200,6 @@ func (s *Server) handle(conn net.Conn) {
 		srv:  s,
 		conn: conn,
 		id:   s.connSeq.Add(1),
-		w:    bufio.NewWriter(conn),
 		subs: map[string]*Subscription{},
 	}
 	defer func() {
@@ -219,9 +221,11 @@ func (s *Server) handle(conn net.Conn) {
 		s.connMu.Unlock()
 	}()
 	r := bufio.NewReader(conn)
+	var body []byte
 	for {
 		var req Request
-		if err := readFrame(r, &req); err != nil {
+		var err error
+		if body, err = readFrameBuf(r, body, &req); err != nil {
 			// Distinguish a clean disconnect from garbage: decode errors get
 			// a protocol-violation frame before the connection drops.
 			if isDecodeError(err) {
@@ -352,77 +356,68 @@ func (c *connState) unsubscribe(req *Request) {
 
 // pump drains one subscription: raw records push into the per-subscription
 // executor (on THIS goroutine — an expensive query costs its subscriber, not
-// the job) and the resulting deltas stream to the client.
+// the job) and the resulting deltas stream to the client, each delivery
+// encoded into one buffer and written at once.
 func (c *connState) pump(clientID string, sub *Subscription) {
 	defer c.pumps.Done()
 	exec := sub.Exec()
-	lastTs := int64(0)
-	tsPrimed := false
-	var frames []*Frame
-	emit := func(outs []cql.Output) {
-		for _, o := range outs {
-			kind := "insert"
-			if o.Kind == cql.Delete {
-				kind = "delete"
-			}
-			frames = append(frames, &Frame{Op: "delta", ID: clientID, Kind: kind, Ts: o.Ts, Row: o.Row})
+	var (
+		buf      []byte
+		deltas   []cql.Delta
+		shedSent int64
+	)
+	frame := func(f *Frame) {
+		b, err := appendFrame(buf, f)
+		buf = orErrorFrame(b, err, 0, clientID)
+	}
+	encode := func() {
+		for _, d := range deltas {
+			b, err := appendDelta(buf, clientID, d)
+			buf = orErrorFrame(b, err, 0, clientID)
 		}
+		clear(deltas)
 	}
 	for {
 		d := sub.next()
 		if d.closed {
 			return
 		}
-		frames = frames[:0]
-		for _, it := range d.items {
-			// The executor needs non-decreasing timestamps; a tap placed
-			// after a disordered source can violate that, so clamp (shedding
-			// already makes subscriber views approximate under lag).
-			ts := it.Ts
-			if tsPrimed && ts < lastTs {
-				ts = lastTs
+		buf = buf[:0]
+		var err error
+		deltas, err = exec.PushBatch(d.items, deltas[:0])
+		encode()
+		if err == nil && d.wmSet {
+			// The watermark goes to the executor as the tap gave it: what it
+			// completes is then the same for every subscriber of the query,
+			// however their deliveries happened to be cut.
+			deltas, err = exec.Advance(d.wm, deltas[:0])
+			encode()
+			if err == nil {
+				wf := &Frame{Op: "watermark", ID: clientID, Watermark: d.wm}
+				if d.shed > shedSent {
+					wf.Shed, shedSent = d.shed, d.shed
+				}
+				frame(wf)
 			}
-			lastTs, tsPrimed = ts, true
-			outs, err := exec.Push(it.Stream, ts, it.Row)
-			if err != nil {
-				frames = append(frames, &Frame{Op: "error", ID: clientID, Code: CodeInvalidParam, Err: err.Error()})
-				c.sendBatch(frames)
-				c.dropSub(clientID, sub)
-				return
-			}
-			emit(outs)
 		}
-		if d.wmSet {
-			ts := d.wm
-			if tsPrimed && ts < lastTs {
-				ts = lastTs
-			}
-			lastTs, tsPrimed = ts, true
-			outs, err := exec.AdvanceTo(ts)
-			if err != nil {
-				frames = append(frames, &Frame{Op: "error", ID: clientID, Code: CodeInvalidParam, Err: err.Error()})
-				c.sendBatch(frames)
-				c.dropSub(clientID, sub)
-				return
-			}
-			emit(outs)
-			frames = append(frames, &Frame{Op: "watermark", ID: clientID, Watermark: d.wm})
-		}
-		if d.killed {
-			frames = append(frames, &Frame{Op: "error", ID: clientID, Code: CodeSlowConsumer,
+		switch {
+		case err != nil:
+			frame(&Frame{Op: "error", ID: clientID, Code: CodeInvalidParam, Err: err.Error()})
+		case d.killed:
+			frame(&Frame{Op: "error", ID: clientID, Code: CodeSlowConsumer,
 				Err: "subscription fell behind with disconnect policy"})
-			c.sendBatch(frames)
-			c.dropSub(clientID, sub)
-			return
+		case d.eos:
+			frame(&Frame{Op: "eos", ID: clientID, Shed: sub.Shed()})
 		}
-		if d.eos {
-			frames = append(frames, &Frame{Op: "eos", ID: clientID, Shed: sub.Shed()})
-			c.sendBatch(frames)
+		// A subscription that is ending leaves the hub before its terminal
+		// frame leaves the server: a client that has read eos no longer
+		// finds it among the subscribers.
+		ended := err != nil || d.killed || d.eos
+		if ended {
 			c.dropSub(clientID, sub)
-			return
 		}
-		if err := c.sendBatch(frames); err != nil {
-			c.dropSub(clientID, sub)
+		if werr := c.write(buf); ended || werr != nil {
+			c.dropSub(clientID, sub) // a no-op if it has left already
 			return
 		}
 	}
