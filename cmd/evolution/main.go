@@ -1,15 +1,10 @@
-// Command evolution regenerates Figure 1 of the paper: the timeline of
-// stream processing generations, annotated with the package in this
-// repository implementing each element, followed by the three runnable
-// generation pipelines of experiment E1.
+// Command evolution regenerates the paper's two exhibits: Figure 1, the
+// timeline of stream processing generations annotated with the package in
+// this repository implementing each element, and Table 1, the requirement ×
+// application matrix with the implementation behind every row.
 package main
 
-import (
-	"flag"
-	"fmt"
-
-	"repro/internal/experiments"
-)
+import "fmt"
 
 var timeline = []struct {
 	era      string
@@ -60,17 +55,51 @@ var timeline = []struct {
 			"model serving & training ...... internal/ml (online SGD, versioned registry, hot swap)",
 			"streaming graphs .............. internal/graphstream (incremental CC / SSSP, random walks)",
 			"loops & cycles ................ internal/iterate (async feedback, BSP supersteps)",
-			"queryable state ............... internal/queryable (TCP point queries, snapshot isolation)",
+			"queryable state ............... internal/queryable + internal/serve (get/keys over TCP, snapshot isolation)",
 			"state versioning .............. internal/state (SchemaRegistry, VersionedValue)",
 			"hardware acceleration ......... internal/window (vectorized kernels, E10)",
 		},
 	},
 }
 
-func main() {
-	scale := flag.Float64("scale", 0.5, "workload scale for the generation pipelines")
-	flag.Parse()
+// table1 is Table 1 ("Requirements for new applications"). The per-cell
+// checks are reconstructed from the §4.2 prose (the tutorial's table is
+// rendered ambiguously in the source text); the row totals — 8 checks for
+// Cloud Apps, 8 for ML, 4 for Graph — match the paper.
+var table1 = []struct {
+	name          string
+	cloud, ml, gr bool
+	impl          string
+}{
+	{"Programming Models", true, true, true, "core.Builder fluent API; statefun actors; cql SQL; iterate BSP"},
+	{"Transactions", true, false, false, "txn.Store (serializable 2PL), txn.Workflow (compensation)"},
+	{"Advanced State Backends", true, true, true, "state: memory / LSM (internal/lsm) / changelog; TTL"},
+	{"Loops & Cycles", true, true, true, "iterate.AsyncLoop (async), iterate.Pregel (bulk-synchronous)"},
+	{"Elasticity & Reconfiguration", true, true, false, "core.RescaleCheckpoint + load.ScalingPolicy (DS2-style)"},
+	{"Dynamic Topologies", true, true, false, "statefun: addresses spawn on first message (virtual actors)"},
+	{"Shared Mutable State", false, true, true, "txn.Store shared across operators; ml.Registry; graphstream"},
+	{"Queryable State", true, true, false, "queryable.Service snapshots, read by serve.Server's get/keys over TCP"},
+	{"State Versioning", true, true, false, "state.SchemaRegistry + VersionedValue; ml.Registry versions"},
+	{"Hardware Acceleration", false, false, false, "window.BatchTumbling vectorized kernels (CPU stand-in, E10)"},
+}
 
+// table1Totals counts the checks per application column.
+func table1Totals() (cloud, ml, graph int) {
+	for _, r := range table1 {
+		if r.cloud {
+			cloud++
+		}
+		if r.ml {
+			ml++
+		}
+		if r.gr {
+			graph++
+		}
+	}
+	return cloud, ml, graph
+}
+
+func main() {
 	fmt.Println("Figure 1 — the evolution of stream processing systems, mapped to this repository")
 	fmt.Println()
 	for _, t := range timeline {
@@ -80,5 +109,21 @@ func main() {
 		}
 		fmt.Println()
 	}
-	fmt.Println(experiments.E1Evolution(*scale))
+
+	mark := func(b bool) string {
+		if b {
+			return "Y"
+		}
+		return "."
+	}
+	fmt.Println("Table 1 — requirements for new applications, mapped to implementations")
+	fmt.Println()
+	fmt.Printf("%-30s %-6s %-4s %-6s %s\n", "requirement", "cloud", "ml", "graph", "implemented by")
+	for _, r := range table1 {
+		fmt.Printf("%-30s %-6s %-4s %-6s %s\n", r.name, mark(r.cloud), mark(r.ml), mark(r.gr), r.impl)
+	}
+	cloud, ml, graph := table1Totals()
+	fmt.Printf("checks per application: cloud=%d ml=%d graph=%d (paper row totals: 8 / 8 / 4)\n", cloud, ml, graph)
+	fmt.Println("every requirement row has a working implementation regardless of which cells the paper checks;")
+	fmt.Println("hardware acceleration is simulated by CPU-vectorized kernels (DESIGN.md §2)")
 }

@@ -2,10 +2,11 @@
 // The Evolution of Stream Processing Systems" (Carbone, Fragkoulis, Kalavri,
 // Katsifodimos — SIGMOD 2020): a full stream-processing engine and the
 // surrounding subsystems covering all three generations the tutorial
-// surveys, plus the experiment harness that regenerates its exhibits.
+// surveys.
 //
 // See README.md for an overview, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for paper-vs-measured results. The
-// benchmarks in bench_test.go (one per experiment E1–E13) regenerate every
-// table and figure; cmd/benchtables prints them as a human-readable report.
+// experiment index, and EXPERIMENTS.md for paper-vs-measured results.
+// cmd/evolution prints Figure 1 and Table 1; the TestShape tests in this
+// package pin the survey's comparative claims and log their tables
+// (`go test -run TestShape -v .`); benchmark/ measures the engine end to end.
 package repro

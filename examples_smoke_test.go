@@ -55,15 +55,9 @@ func TestCommandsRun(t *testing.T) {
 			t.Fatalf("cqlrun output unexpected:\n%s", out)
 		}
 	})
-	t.Run("benchtables-tiny", func(t *testing.T) {
-		out := runGo(t, "run", "./cmd/benchtables", "-scale", "0.01", "-only", "E2,E3")
-		if !strings.Contains(out, "Table 1") || !strings.Contains(out, "two-stacks") {
-			t.Fatalf("benchtables output unexpected:\n%s", out)
-		}
-	})
 	t.Run("evolution-tiny", func(t *testing.T) {
-		out := runGo(t, "run", "./cmd/evolution", "-scale", "0.01")
-		if !strings.Contains(out, "Figure 1") || !strings.Contains(out, "gen3 pipeline") {
+		out := runGo(t, "run", "./cmd/evolution")
+		if !strings.Contains(out, "Figure 1") || !strings.Contains(out, "cloud=8 ml=8 graph=4") {
 			t.Fatalf("evolution output unexpected:\n%s", out)
 		}
 	})

@@ -303,8 +303,16 @@ func TestWhenCheckpointNotifies(t *testing.T) {
 	const n = 300
 	store := NewMemorySnapshotStore()
 	sink := NewCollectSink()
-	b := NewBuilder(Config{Name: "notify", SnapshotStore: store, CheckpointEvery: 50})
-	b.Source("src", NewSliceSourceFactory(genEvents(n, 2))).Sink("out", sink.Factory())
+	b := NewBuilder(Config{Name: "notify", SnapshotStore: store, CheckpointEvery: 50, ChannelCapacity: 4})
+	// Paced so the source is still running when the coordinator asks it to
+	// inject a requested barrier: a fast finite source can end first, and
+	// then no checkpoint happens at all.
+	b.Source("src", NewSliceSourceFactory(genEvents(n, 2))).
+		Map("pace", func(e Event) (Event, bool) {
+			time.Sleep(100 * time.Microsecond)
+			return e, true
+		}).
+		Sink("out", sink.Factory())
 	j, err := b.Build()
 	if err != nil {
 		t.Fatal(err)

@@ -2,28 +2,18 @@
 // currently a black box to the user, is becoming the main point of interest
 // for many interactive and reactive data applications"): pipelines publish
 // snapshots of keyed state into a Service, and external clients read them
-// over TCP with snapshot isolation — queries never touch the operator's live
-// state, mirroring the isolation challenge the paper calls out (and Flink's
-// point-query design it cites).
+// with snapshot isolation — queries never touch the operator's live state,
+// mirroring the isolation challenge the paper calls out (and Flink's
+// point-query design it cites). Over TCP, serve.Server answers `get` and
+// `keys` from a Service.
 package queryable
 
 import (
-	"bufio"
-	"encoding/gob"
-	"fmt"
-	"net"
 	"sort"
 	"sync"
 
 	"repro/internal/core"
 )
-
-// RegisterValueType registers the concrete type of published values with the
-// wire codec (gob). Values whose dynamic type is not a gob builtin must be
-// registered once — by the pipeline author, before serving — or the server
-// cannot encode them and will answer point queries for those keys with an
-// error response.
-func RegisterValueType(v any) { gob.Register(v) }
 
 // Service holds published state snapshots: table -> key -> value. Publishing
 // a table replaces it atomically, so a reader never observes a half-updated
@@ -122,193 +112,3 @@ func (o *publishOp) OnWatermark(_ int64, ctx core.Context) error {
 
 // Close publishes the final snapshot.
 func (o *publishOp) Close(ctx core.Context) error { return o.OnWatermark(0, ctx) }
-
-// --- Wire protocol --------------------------------------------------------
-
-// request is the client->server message.
-type request struct {
-	Op    string // "get" | "keys"
-	Table string
-	Key   string
-}
-
-// response is the server->client message.
-type response struct {
-	Found bool
-	Value any
-	Keys  []string
-	Err   string
-}
-
-// Server exposes a Service over TCP using gob framing.
-type Server struct {
-	svc    *Service
-	ln     net.Listener
-	wg     sync.WaitGroup
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-}
-
-// Serve starts listening on addr ("127.0.0.1:0" picks a free port).
-func Serve(svc *Service, addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("queryable: listen: %w", err)
-	}
-	s := &Server{svc: svc, ln: ln, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
-}
-
-// Addr returns the bound address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the listener and terminates active connections.
-func (s *Server) Close() error {
-	err := s.ln.Close()
-	s.connMu.Lock()
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.connMu.Unlock()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.connMu.Lock()
-		if s.closed {
-			s.connMu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		// The Add must happen inside the critical section that checked
-		// closed: it is then ordered against Close's closed=true store, so a
-		// handler is either registered before Close's Wait can observe the
-		// counter or never started at all. Adding after the unlock raced
-		// Close's wg.Wait.
-		s.wg.Add(1)
-		s.connMu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	dec := gob.NewDecoder(r)
-	enc := gob.NewEncoder(w)
-	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		var resp response
-		switch req.Op {
-		case "get":
-			v, ok := s.svc.Get(req.Table, req.Key)
-			resp.Found = ok
-			resp.Value = v
-		case "keys":
-			resp.Keys = s.svc.Keys(req.Table)
-			resp.Found = true
-		default:
-			resp.Err = fmt.Sprintf("unknown op %q", req.Op)
-		}
-		if err := enc.Encode(&resp); err != nil {
-			// Most likely an unregistered concrete value type. gob buffers
-			// the value message and only writes it on success, so the stream
-			// is still consistent — answer with an error response instead of
-			// silently dropping the connection (the client used to see a bare
-			// EOF with no hint why).
-			fallback := response{Err: fmt.Sprintf("encode response: %v (register the value's type with queryable.RegisterValueType)", err)}
-			if err := enc.Encode(&fallback); err != nil {
-				return
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// Client is a TCP client for a queryable-state server. Safe for sequential
-// use; create one per goroutine.
-type Client struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	w    *bufio.Writer
-}
-
-// Dial connects to a server.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("queryable: dial: %w", err)
-	}
-	w := bufio.NewWriter(conn)
-	return &Client{
-		conn: conn,
-		enc:  gob.NewEncoder(w),
-		dec:  gob.NewDecoder(bufio.NewReader(conn)),
-		w:    w,
-	}, nil
-}
-
-// Close releases the connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-func (c *Client) roundtrip(req request) (response, error) {
-	if err := c.enc.Encode(&req); err != nil {
-		return response{}, fmt.Errorf("queryable: send: %w", err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return response{}, fmt.Errorf("queryable: flush: %w", err)
-	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		return response{}, fmt.Errorf("queryable: recv: %w", err)
-	}
-	if resp.Err != "" {
-		return response{}, fmt.Errorf("queryable: server: %s", resp.Err)
-	}
-	return resp, nil
-}
-
-// Get reads one key from a table.
-func (c *Client) Get(table, key string) (any, bool, error) {
-	resp, err := c.roundtrip(request{Op: "get", Table: table, Key: key})
-	if err != nil {
-		return nil, false, err
-	}
-	return resp.Value, resp.Found, nil
-}
-
-// Keys lists a table's keys.
-func (c *Client) Keys(table string) ([]string, error) {
-	resp, err := c.roundtrip(request{Op: "keys", Table: table})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Keys, nil
-}

@@ -138,8 +138,9 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		}
 		s.conns[conn] = struct{}{}
 		// Add inside the critical section that checked closed, so it is
-		// ordered against Close's closed=true store (same pattern as
-		// queryable.Server).
+		// ordered against Close's closed=true store: a handler is either
+		// registered before Close's Wait can observe the counter or never
+		// started at all.
 		s.wg.Add(1)
 		s.connMu.Unlock()
 		go func() {

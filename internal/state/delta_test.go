@@ -151,6 +151,7 @@ func TestDeltaSublinearInTotalState(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("SnapshotDelta: ok=%v err=%v", ok, err)
 	}
+	t.Logf("%d of %d keys changed: delta %d bytes, full image %d bytes", changed, total, len(delta), len(full))
 	if len(delta)*100 > len(full) {
 		t.Fatalf("delta not sublinear: %d bytes for %d changed keys vs %d bytes full (%d keys)",
 			len(delta), changed, len(full), total)

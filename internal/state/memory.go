@@ -187,6 +187,11 @@ type memMap struct {
 	curKey string
 	cur    map[string]any
 	km     []map[string]any
+	// spare holds inner maps Remove emptied and dropped, for the next key
+	// that needs one: a window fire empties a key's map and a later record
+	// refills it, which would otherwise cost an allocation per key per
+	// window.
+	spare []map[string]any
 }
 
 func (s *memMap) inner(create bool) map[string]any {
@@ -221,7 +226,12 @@ func (s *memMap) inner(create bool) map[string]any {
 	if !create {
 		return nil
 	}
-	m := make(map[string]any)
+	var m map[string]any
+	if n := len(s.spare); n > 0 {
+		m, s.spare = s.spare[n-1], s.spare[:n-1]
+	} else {
+		m = make(map[string]any)
+	}
 	km[key] = m
 	s.curKey, s.cur = key, m
 	return m
@@ -246,11 +256,19 @@ func (s *memMap) Get(mapKey string) (any, bool) {
 }
 
 func (s *memMap) Remove(mapKey string) {
-	if m := s.inner(false); m != nil {
-		if s.b.delta != nil {
-			s.b.delta.touch(s.name, s.b.currentKey)
-		}
-		delete(m, mapKey)
+	m := s.inner(false)
+	if m == nil {
+		return
+	}
+	delete(m, mapKey)
+	if len(m) == 0 {
+		// An empty inner map would keep the key in every later image.
+		s.Clear()
+		s.spare = append(s.spare, m)
+		return
+	}
+	if s.b.delta != nil {
+		s.b.delta.touch(s.name, s.b.currentKey)
 	}
 }
 

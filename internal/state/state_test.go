@@ -172,6 +172,54 @@ func TestChangelogBackendCRUD(t *testing.T) {
 	testBackendCRUD(t, NewChangelogBackend(0, NewChangelog()))
 }
 
+// TestMapRemoveLastEntryDropsKey: a key whose map state has been emptied
+// entry by entry (the window operator's fire path) leaves nothing behind in
+// the next image.
+func TestMapRemoveLastEntryDropsKey(t *testing.T) {
+	lsm, err := NewLSMBackend(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lsm.Dispose()
+	for _, tc := range []struct {
+		name string
+		b    Backend
+	}{
+		{"memory", NewMemoryBackend(0)},
+		{"lsm", lsm},
+		{"changelog", NewChangelogBackend(0, NewChangelog())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < 10_000; i++ {
+				tc.b.SetCurrentKey(fmt.Sprintf("k%d", i))
+				m := tc.b.Map("windows")
+				m.Put("w", int64(i))
+				m.Remove("w")
+				if keys := m.Keys(); len(keys) != 0 {
+					t.Fatalf("k%d: keys %v after removing the only entry", i, keys)
+				}
+			}
+			data, err := tc.b.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, err := DecodeImage(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			left := 0
+			for _, names := range img.Groups {
+				for _, keys := range names {
+					left += len(keys)
+				}
+			}
+			if left != 0 {
+				t.Fatalf("%d keys left in a %d-byte image after every map was emptied", left, len(data))
+			}
+		})
+	}
+}
+
 func TestSnapshotRestoreRoundtrip(t *testing.T) {
 	src := NewMemoryBackend(0)
 	for i := 0; i < 200; i++ {
