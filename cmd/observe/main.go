@@ -38,8 +38,7 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 10_000, "trigger a checkpoint every N source records")
 	duration := flag.Duration("duration", 0, "stop after this long (0 = run the workload to completion)")
 	dump := flag.Bool("dump", true, "fetch and print /metrics once the job finishes")
-	batch := flag.Int("batch", 0, "coalesce up to N records per exchange message (0/1 = per-record sends)")
-	columnar := flag.Bool("columnar", false, "whole-batch columnar operator execution (requires -batch > 1)")
+	batch := flag.Int("batch", 0, "exchange batch capacity in records (0/1 = one record per batch)")
 	chaosMode := flag.Bool("chaos", false, "inject snapshot-store faults (every 3rd save fails with a torn write, plus latency) so the abort/retry metrics go live")
 	elasticMode := flag.Bool("elastic", false, "run the elastic demo instead: a rate ramp drives the DS2 policy through live scale-out and scale-in, with rescale metrics on /metrics and /jobs")
 	flag.Parse()
@@ -70,7 +69,6 @@ func main() {
 		CheckpointEvery:       *checkpointEvery,
 		ChannelCapacity:       64,
 		MaxBatchSize:          *batch,
-		ColumnarExec:          *columnar,
 	})
 
 	spec := gen.FraudSpec(*n, 50, 0.05, 7)

@@ -31,7 +31,12 @@ func (e Event) String() string {
 type msgKind uint8
 
 const (
-	msgRecord msgKind = iota
+	// msgRecordBatch carries one or more records — the only unit of record
+	// exchange; a single record travels as a batch of one. A batch never
+	// spans a control message: senders flush open batches before every
+	// watermark, barrier, EOS and latency marker, so alignment and progress
+	// semantics do not depend on where batches are cut.
+	msgRecordBatch msgKind = iota
 	// msgWatermark asserts event-time progress (§2.3).
 	msgWatermark
 	// msgBarrier is a checkpoint barrier (aligned snapshotting, §3.1/§3.2).
@@ -44,12 +49,6 @@ const (
 	// processing latency a record experiences. Operators never see markers;
 	// each instance records the latency and forwards a fresh marker.
 	msgLatencyMarker
-	// msgRecordBatch carries several records in one channel exchange
-	// (Config.MaxBatchSize > 1), amortising per-record synchronization on the
-	// hot path. A batch never spans a control message: senders flush pending
-	// batches before every watermark, barrier, EOS and latency marker, so
-	// alignment and progress semantics are identical to the unbatched path.
-	msgRecordBatch
 )
 
 // message is the unit transported on inter-instance channels. channel is the
@@ -62,12 +61,11 @@ const (
 type message struct {
 	kind    msgKind
 	channel int
-	event   Event
 	wm      int64
 	barrier barrierMark
 	drain   bool
 	// marker is only set on msgLatencyMarker messages; a pointer keeps the
-	// common message struct small on the record hot path.
+	// message struct small on the record hot path.
 	marker *latencyMarker
 	// batch is only set on msgRecordBatch messages. It points at a pooled
 	// slice: the receiver returns it to batchPool after unpacking, so a

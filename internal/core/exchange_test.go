@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/eventtime"
 )
@@ -45,18 +47,22 @@ func TestBatchedKeyedCountEquality(t *testing.T) {
 	}
 }
 
+// recycle returns a received record batch to the pool, as a receiving
+// instance does after processing it.
+func recycle(m message) {
+	if m.kind == msgRecordBatch {
+		clear(*m.batch)
+		*m.batch = (*m.batch)[:0]
+		batchPool.Put(m.batch)
+	}
+}
+
 // TestBatchedExchangeFlushesOnControl checks the sender-side invariant: a
 // control message forces every open batch out first, so per-channel order is
 // record-batches then control, never interleaved.
 func TestBatchedExchangeFlushesOnControl(t *testing.T) {
 	ch := make(chan message, 16)
-	o := &outEdge{
-		edge:     &edge{kind: PartitionForward},
-		targets:  []chan message{ch},
-		chIDs:    []int{0},
-		maxBatch: 8,
-		pending:  make([]*[]Event, 1),
-	}
+	o := newOutEdge(&edge{kind: PartitionForward}, 8, []chan message{ch}, []int{0})
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		if !o.sendRecord(ctx, Event{Timestamp: int64(i)}) {
@@ -64,7 +70,7 @@ func TestBatchedExchangeFlushesOnControl(t *testing.T) {
 		}
 	}
 	if len(ch) != 0 {
-		t.Fatalf("batch flushed before reaching size or control: %d messages", len(ch))
+		t.Fatalf("batch flushed before reaching size, control or idle: %d messages", len(ch))
 	}
 	if !o.broadcastCtl(ctx, message{kind: msgWatermark, wm: 100}) {
 		t.Fatal("ctl send failed")
@@ -79,49 +85,120 @@ func TestBatchedExchangeFlushesOnControl(t *testing.T) {
 	}
 }
 
-// TestBatchedExchangeFlushesOnSize checks a batch ships as soon as it fills.
+// TestBatchedExchangeFlushesOnSize checks a batch ships as soon as it fills,
+// and that a sender out of input ships its partial batch without waiting for
+// a control message.
 func TestBatchedExchangeFlushesOnSize(t *testing.T) {
 	ch := make(chan message, 16)
-	o := &outEdge{
-		edge:     &edge{kind: PartitionForward},
-		targets:  []chan message{ch},
-		chIDs:    []int{0},
-		maxBatch: 4,
-		pending:  make([]*[]Event, 1),
-	}
+	o := newOutEdge(&edge{kind: PartitionForward}, 4, []chan message{ch}, []int{0})
 	ctx := context.Background()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		o.sendRecord(ctx, Event{Timestamp: int64(i)})
 	}
 	if len(ch) != 1 {
 		t.Fatalf("full batch not flushed: %d messages queued", len(ch))
 	}
-	m := <-ch
-	if m.kind != msgRecordBatch || len(*m.batch) != 4 {
+	if m := <-ch; m.kind != msgRecordBatch || len(*m.batch) != 4 {
 		t.Fatalf("want 4-record batch, got kind=%d", m.kind)
+	}
+	if !o.flush(ctx, nil) {
+		t.Fatal("idle flush failed")
+	}
+	if m := <-ch; m.kind != msgRecordBatch || len(*m.batch) != 2 {
+		t.Fatalf("want the 2-record remainder on an idle flush, got kind=%d", m.kind)
+	}
+	if !o.flush(ctx, nil) || len(ch) != 0 {
+		t.Fatalf("flush with no open batch sent %d messages", len(ch))
 	}
 }
 
-// TestUnbatchedSendPathZeroAllocs asserts MaxBatchSize=0 keeps the existing
-// per-record send path allocation-free — the batching fields must not leak
-// cost into the default configuration.
-func TestUnbatchedSendPathZeroAllocs(t *testing.T) {
-	ch := make(chan message, 256)
-	o := &outEdge{
-		edge:    &edge{kind: PartitionForward},
-		targets: []chan message{ch},
-		chIDs:   []int{0},
-	}
-	ctx := context.Background()
-	e := Event{Key: "k", Timestamp: 1, Value: int64(7)}
-	allocs := testing.AllocsPerRun(200, func() {
-		if !o.sendRecord(ctx, e) {
-			t.Fatal("send failed")
+// TestPausedSourceRecordsArriveWithoutWatermark pauses a source after a few
+// records, with no watermark behind them: the records must still reach the
+// sink, through an intermediate operator, while the source waits — a batch
+// never waits for input its sender does not have.
+func TestPausedSourceRecordsArriveWithoutWatermark(t *testing.T) {
+	resume := make(chan struct{})
+	arrived := make(chan struct{})
+	var seen atomic.Int64
+	b := NewBuilder(Config{Name: "paused", MaxBatchSize: 64})
+	b.Source("src", SourceFunc(func(ctx SourceContext) error {
+		if !ctx.CollectBatch(genEvents(3, 2)) || !ctx.Collect(Event{Key: "k", Timestamp: 30}) {
+			return nil
 		}
-		<-ch
-	})
-	if allocs != 0 {
-		t.Fatalf("unbatched send path allocates %.1f times per record; want 0", allocs)
+		<-resume
+		return nil
+	})).
+		Map("hop", func(e Event) (Event, bool) { return e, true }).
+		Sink("out", SinkFunc(func(Event) error {
+			if seen.Add(1) == 4 {
+				close(arrived)
+			}
+			return nil
+		}))
+	j, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- j.Run(context.Background()) }()
+	select {
+	case <-arrived:
+	case <-time.After(10 * time.Second):
+		t.Errorf("records of a paused source stranded: %d of 4 reached the sink", seen.Load())
+	}
+	close(resume)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecordPathSteadyStateZeroAllocs drives records and a watermark through
+// one instrumented instance — send into an open batch, the sender's idle
+// flush, receive and process the batch, the receiver's idle flush, then a
+// watermark over the same path — and requires zero allocations per round once
+// the pools are warm (checked without the race detector, under which
+// sync.Pool drops Puts at random). An allocation per record or per watermark
+// raises the GC heap goal with throughput and shows up as peak RSS.
+func TestRecordPathSteadyStateZeroAllocs(t *testing.T) {
+	ctx := context.Background()
+	in := newTestInstance(t, 1, &mapOperator{xform: func(e Event) (Event, bool) { return e, true }})
+	reg := in.job.metrics
+	in.wmGauge, in.wmLag, in.busyNs = reg.Gauge("wm"), reg.Gauge("lag"), reg.Counter("busy")
+	inbox, down := make(chan message, 4), make(chan message, 4)
+	up := newOutEdge(&edge{kind: PartitionForward}, 8, []chan message{inbox}, []int{0})
+	out := newOutEdge(&edge{kind: PartitionForward}, 8, []chan message{down}, []int{0})
+	out.batchSize, out.flushSize, out.flushCtl, out.flushIdle =
+		reg.Histogram("size"), reg.Counter("fsize"), reg.Counter("fctl"), reg.Counter("fidle")
+	in.outs = []*outEdge{out}
+	octx := &opContext{inst: in, runCtx: ctx}
+	e := Event{Key: "k", Timestamp: 1, Value: int64(7)} // boxed once, outside the loop
+	wm := int64(0)
+	round := func() {
+		for i := 0; i < 3; i++ {
+			up.sendRecord(ctx, e)
+		}
+		up.flush(ctx, nil)
+		if _, err := in.handle(ctx, octx, <-inbox); err != nil {
+			t.Fatal(err)
+		}
+		in.flushOutputs(ctx)
+		if m := <-down; m.kind != msgRecordBatch || len(*m.batch) != 3 {
+			t.Fatalf("want a 3-record batch downstream, got kind=%d", m.kind)
+		} else {
+			recycle(m)
+		}
+		wm++
+		up.broadcastCtl(ctx, message{kind: msgWatermark, wm: wm})
+		if _, err := in.handle(ctx, octx, <-inbox); err != nil {
+			t.Fatal(err)
+		}
+		if m := <-down; m.kind != msgWatermark || m.wm != wm {
+			t.Fatalf("want watermark %d downstream, got kind=%d wm=%d", wm, m.kind, m.wm)
+		}
+	}
+	round() // warm the batch and column pools
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 && !raceEnabled {
+		t.Fatalf("record path allocates %.1f times per round; want 0", allocs)
 	}
 }
 
@@ -132,13 +209,8 @@ func TestUnbatchedSendPathZeroAllocs(t *testing.T) {
 // negative index (the pre-fix signed cursor panicked here).
 func TestRoundRobinCursorWrap(t *testing.T) {
 	chs := []chan message{make(chan message, 8), make(chan message, 8), make(chan message, 8)}
-	o := &outEdge{
-		edge:    &edge{kind: PartitionRebalance},
-		targets: chs,
-		chIDs:   []int{0, 0, 0},
-		rr:      math.MaxUint64 - 1,
-		mrr:     math.MaxUint64 - 1,
-	}
+	o := newOutEdge(&edge{kind: PartitionRebalance}, 1, chs, []int{0, 0, 0})
+	o.rr, o.mrr = math.MaxUint64-1, math.MaxUint64-1
 	ctx := context.Background()
 	for i := 0; i < 6; i++ {
 		if !o.sendRecord(ctx, Event{Timestamp: int64(i)}) {
@@ -301,7 +373,8 @@ func TestBarrierStashReplayEOSTerminates(t *testing.T) {
 	// Barrier arrives on channel 0; the channel is now blocked.
 	step(message{kind: msgBarrier, channel: 0, barrier: b}, false)
 	// Post-barrier traffic on the blocked channel is stashed, EOS included.
-	step(message{kind: msgRecord, channel: 0, event: Event{Timestamp: 1}}, false)
+	one := []Event{{Timestamp: 1}}
+	step(message{kind: msgRecordBatch, channel: 0, batch: &one}, false)
 	step(message{kind: msgWatermark, channel: 0, wm: eventtime.MaxWatermark}, false)
 	step(message{kind: msgEOS, channel: 0, drain: true}, false)
 	if len(in.stash) != 3 {

@@ -180,31 +180,21 @@ type Config struct {
 	// SnapshotRetryBackoff is the fixed delay between snapshot Save retries.
 	// Default 2ms.
 	SnapshotRetryBackoff time.Duration
-	// MaxBatchSize enables batched record exchange: senders coalesce up to
-	// this many records per downstream instance into one pooled channel
-	// message, flushing on size and before every control message (watermark,
-	// barrier, EOS, latency marker), so results — including aligned
-	// exactly-once snapshots — are bit-for-bit identical to the unbatched
-	// path. 0 or 1 disables batching and keeps the existing per-record send
-	// path unchanged (zero extra allocations).
+	// MaxBatchSize is the batch capacity: records travel between instances
+	// only in pooled batches of at most this many records, one open batch
+	// per sender and downstream instance. A batch ships when it is full,
+	// before every control message (watermark, barrier, EOS, latency marker),
+	// and when its sender runs out of input — an operator instance before it
+	// waits on an empty inbox, a source as each Collect/CollectBatch call
+	// returns — so no record waits for input its sender does not have, and
+	// results, aligned exactly-once snapshots included, do not depend on
+	// where batches are cut. ChannelCapacity counts records, so the inbox
+	// holds ChannelCapacity/MaxBatchSize batches. 0 or 1 (the default) means
+	// one record per batch.
 	MaxBatchSize int
-	// ColumnarExec enables whole-batch columnar execution on top of the
-	// batched exchange: operators implementing BatchOperator receive each
-	// pooled record batch as one ProcessBatch call on its columnar view
-	// (keys, timestamps, and a dense float64 value column extracted once per
-	// batch) instead of per-record ProcessElement dispatch. Operators that
-	// don't implement BatchOperator fall back to the per-record path
-	// unchanged. Results are identical with the flag on or off (bit-for-bit
-	// for count/min/max aggregates; float sums may differ in final-bit
-	// rounding where the unrolled kernel re-associates addition over runs of
-	// same-key, same-window records). Effective only with MaxBatchSize > 1;
-	// off by default.
-	ColumnarExec bool
 	// WatermarkInterval is the default number of records between periodic
 	// watermark emissions at sources. Default 32.
 	WatermarkInterval int
-	// Clock is the processing-time clock. Default system clock.
-	Clock eventtime.Clock
 	// Instrument enables the observability layer (§3.3): queue-depth and
 	// watermark-lag gauges, blocked-send (backpressure) histograms, checkpoint
 	// timing metrics, and — when LatencyMarkerInterval is set — latency
@@ -268,9 +258,6 @@ func (c Config) withDefaults() Config {
 		c.BackendFactory = func(string, int) (state.Backend, error) {
 			return state.NewMemoryBackend(groups), nil
 		}
-	}
-	if c.Clock == nil {
-		c.Clock = eventtime.SystemClock{}
 	}
 	return c
 }

@@ -213,6 +213,21 @@ type sourceInstance struct {
 	// (0 = markers off).
 	markerEvery int
 	tracer      *obsv.Tracer
+	// maxTs is the largest timestamp this instance has emitted, the reference
+	// operators measure watermark lag against. Published only when
+	// Config.Instrument is on (instrumented); MinWatermark until then.
+	maxTs        atomic.Int64
+	instrumented bool
+}
+
+// maxEmittedTs returns the largest timestamp any source instance has emitted
+// (MinWatermark before the first record or without instrumentation).
+func (j *Job) maxEmittedTs() int64 {
+	m := int64(eventtime.MinWatermark)
+	for _, s := range j.sources {
+		m = max(m, s.maxTs.Load())
+	}
+	return m
 }
 
 // sourceCtx implements SourceContext.
@@ -226,6 +241,19 @@ type sourceCtx struct {
 	savepointStop bool
 	count         int
 	lastWM        int64
+}
+
+// flush ships every open batch as a Collect or CollectBatch call returns: the
+// source may not collect again for a while (pacing, an idle input, the end of
+// the stream), and a batch must never wait for input its sender lacks.
+func (c *sourceCtx) flush() bool {
+	for _, o := range c.si.outs {
+		if !o.flush(c.runCtx, o.flushIdle) {
+			c.stopped = true
+			return false
+		}
+	}
+	return true
 }
 
 func (c *sourceCtx) InstanceIndex() int { return c.si.idx }
@@ -256,61 +284,8 @@ func (c *sourceCtx) EmitWatermark(wm int64) {
 	}
 }
 
-// Collect emits one event, handling barrier injection, periodic watermarks
-// and automatic checkpoint triggering.
-func (c *sourceCtx) Collect(e Event) bool {
-	if c.Stopped() {
-		return false
-	}
-	// Barrier injection point: a pending barrier is emitted *before* the
-	// next element so the snapshot offset excludes it.
-	select {
-	case b := <-c.si.barrierReq:
-		if !c.si.emitBarrier(c.runCtx, b) {
-			c.stopped = true
-			return false
-		}
-		if b.Savepoint {
-			c.stopped = true
-			c.savepointStop = true
-			return false
-		}
-	default:
-	}
-	for _, o := range c.si.outs {
-		if !o.sendRecord(c.runCtx, e) {
-			c.stopped = true
-			return false
-		}
-	}
-	c.si.outCounter.Inc()
-	c.count++
-	if c.si.gen != nil {
-		if wm := c.si.gen.OnEvent(e.Timestamp); wm != eventtime.MinWatermark {
-			c.EmitWatermark(wm)
-		}
-		interval := c.si.node.wmInterval
-		if interval > 0 && c.count%interval == 0 {
-			if wm := c.si.gen.OnPeriodic(); wm != eventtime.MinWatermark {
-				c.EmitWatermark(wm)
-			}
-		}
-	}
-	if me := c.si.markerEvery; me > 0 && c.count%me == 0 {
-		now := nanotime()
-		mk := &latencyMarker{origin: now, hopped: now, from: c.si.node.name, source: c.si.id}
-		for _, o := range c.si.outs {
-			if !o.sendMarker(c.runCtx, mk) {
-				c.stopped = true
-				return false
-			}
-		}
-	}
-	if n := c.si.job.cfg.CheckpointEvery; n > 0 && c.count%n == 0 {
-		c.si.job.requestCheckpoint(false)
-	}
-	return true
-}
+// Collect emits one event: a CollectBatch of one.
+func (c *sourceCtx) Collect(e Event) bool { return c.CollectBatch([]Event{e}) }
 
 // CollectBatch emits events in order with the per-record dispatch amortized:
 // the stop and barrier checks run once per call (see the SourceContext doc
@@ -318,11 +293,14 @@ func (c *sourceCtx) Collect(e Event) bool {
 // bulk routing path, and the periodic-obligation modulo checks run once per
 // chunk. The watermark generator still observes every record, and a
 // punctuated watermark splits the chunk so it lands between the same two
-// records as on the per-record path.
+// records as if each record were collected alone. Open batches ship before
+// the call returns.
 func (c *sourceCtx) CollectBatch(events []Event) bool {
 	if c.Stopped() {
 		return false
 	}
+	// Barrier injection point: a pending barrier is emitted *before* the
+	// next element so the snapshot offset excludes it.
 	select {
 	case b := <-c.si.barrierReq:
 		if !c.si.emitBarrier(c.runCtx, b) {
@@ -403,7 +381,7 @@ func (c *sourceCtx) CollectBatch(events []Event) bool {
 		}
 		events = events[n:]
 	}
-	return true
+	return c.flush()
 }
 
 // sendSlice routes a slice of records down every out edge through the bulk
@@ -419,6 +397,13 @@ func (c *sourceCtx) sendSlice(events []Event) bool {
 		}
 	}
 	c.si.outCounter.Add(int64(len(events)))
+	if c.si.instrumented {
+		m := c.si.maxTs.Load() // this goroutine is the only writer
+		for i := range events {
+			m = max(m, events[i].Timestamp)
+		}
+		c.si.maxTs.Store(m)
+	}
 	return true
 }
 
@@ -524,8 +509,10 @@ func (j *Job) buildPhysical() error {
 					outCounter: j.outCounter(n.name),
 					tracer:     j.cfg.Tracer,
 				}
+				si.maxTs.Store(eventtime.MinWatermark)
 				if j.cfg.Instrument {
 					si.markerEvery = j.cfg.LatencyMarkerInterval
+					si.instrumented = true
 				}
 				if n.wmStrategy != nil {
 					si.gen = n.wmStrategy()
@@ -535,10 +522,10 @@ func (j *Job) buildPhysical() error {
 			}
 			continue
 		}
-		// ChannelCapacity bounds in-flight records. With batching, one message
-		// carries up to MaxBatchSize records, so the message capacity scales
-		// down to keep buffered records — memory footprint and queueing
-		// latency — comparable to the unbatched configuration.
+		// ChannelCapacity bounds in-flight records. One message carries up to
+		// MaxBatchSize records, so the message capacity scales down to keep
+		// buffered records — memory footprint and queueing latency —
+		// independent of the batch capacity.
 		boxCap := j.cfg.ChannelCapacity
 		if j.cfg.MaxBatchSize > 1 {
 			if boxCap = boxCap / j.cfg.MaxBatchSize; boxCap < 1 {
@@ -559,11 +546,6 @@ func (j *Job) buildPhysical() error {
 				inCounter:  j.inCounter(n.name),
 				outCounter: j.outCounter(n.name),
 				tracer:     j.cfg.Tracer,
-			}
-			if j.cfg.ColumnarExec {
-				if bo, ok := inst.op.(BatchOperator); ok {
-					inst.batchOp = bo
-				}
 			}
 			if j.cfg.Instrument {
 				pfx := fmt.Sprintf("node.%s.%d.", n.name, i)
@@ -609,35 +591,31 @@ func (j *Job) buildPhysical() error {
 		counts := inputCount[e.to.id]
 		upPar := e.from.parallelism
 		for ui := 0; ui < upPar; ui++ {
-			o := &outEdge{edge: e, numKeyGroups: j.cfg.NumKeyGroups}
-			if j.cfg.MaxBatchSize > 1 {
-				o.maxBatch = j.cfg.MaxBatchSize
+			var targets []chan message
+			var chIDs []int
+			if e.kind == PartitionForward {
+				targets = []chan message{downBoxes[ui]}
+				chIDs = []int{counts[ui]}
+				counts[ui]++
+			} else {
+				for di := 0; di < e.to.parallelism; di++ {
+					targets = append(targets, downBoxes[di])
+					chIDs = append(chIDs, counts[di])
+					counts[di]++
+				}
+			}
+			o := newOutEdge(e, j.cfg.MaxBatchSize, targets, chIDs)
+			o.numKeyGroups = j.cfg.NumKeyGroups
+			if e.kind == PartitionHash {
+				o.groupToTarget = groupMap(e.to.parallelism)
 			}
 			if j.cfg.Instrument {
 				pfx := "edge." + e.from.name + "." + e.to.name + "."
 				o.blocked = j.metrics.Histogram(pfx + "blocked_ns")
-				if o.maxBatch > 1 {
-					o.batchSize = j.metrics.Histogram(pfx + "batch_size")
-					o.flushSize = j.metrics.Counter(pfx + "flush_size")
-					o.flushCtl = j.metrics.Counter(pfx + "flush_ctl")
-				}
-			}
-			if e.kind == PartitionHash {
-				o.groupToTarget = groupMap(e.to.parallelism)
-			}
-			if e.kind == PartitionForward {
-				o.targets = []chan message{downBoxes[ui]}
-				o.chIDs = []int{counts[ui]}
-				counts[ui]++
-			} else {
-				for di := 0; di < e.to.parallelism; di++ {
-					o.targets = append(o.targets, downBoxes[di])
-					o.chIDs = append(o.chIDs, counts[di])
-					counts[di]++
-				}
-			}
-			if o.maxBatch > 1 {
-				o.pending = make([]*[]Event, len(o.targets))
+				o.batchSize = j.metrics.Histogram(pfx + "batch_size")
+				o.flushSize = j.metrics.Counter(pfx + "flush_size")
+				o.flushCtl = j.metrics.Counter(pfx + "flush_ctl")
+				o.flushIdle = j.metrics.Counter(pfx + "flush_idle")
 			}
 			if e.from.isSource {
 				srcInst[e.from.id][ui].outs = append(srcInst[e.from.id][ui].outs, o)

@@ -47,18 +47,14 @@ func httpGet(t *testing.T, url string) string {
 // nothing for the instrumentation hooks.
 func TestSendDisabledPathNoAllocs(t *testing.T) {
 	ch := make(chan message, 1)
-	o := &outEdge{
-		edge:    &edge{kind: PartitionForward},
-		targets: []chan message{ch},
-		chIDs:   []int{0},
-	}
+	o := newOutEdge(&edge{kind: PartitionForward}, 1, []chan message{ch}, []int{0})
 	ctx := context.Background()
 	ev := Event{Key: "k", Timestamp: 42, Value: int64(7)} // boxed once, outside the loop
 	allocs := testing.AllocsPerRun(1000, func() {
 		if !o.sendRecord(ctx, ev) {
 			t.Fatal("send failed")
 		}
-		<-ch
+		recycle(<-ch)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled send path allocates: %v allocs/op", allocs)
@@ -71,12 +67,8 @@ func TestSendDisabledPathNoAllocs(t *testing.T) {
 func TestSendInstrumentedMeasuresBlockedTime(t *testing.T) {
 	ch := make(chan message, 1)
 	h := metrics.NewHistogram()
-	o := &outEdge{
-		edge:    &edge{kind: PartitionForward},
-		targets: []chan message{ch},
-		chIDs:   []int{0},
-		blocked: h,
-	}
+	o := newOutEdge(&edge{kind: PartitionForward}, 1, []chan message{ch}, []int{0})
+	o.blocked = h
 	ctx := context.Background()
 
 	// Free channel: fast path, no observation.
@@ -112,11 +104,7 @@ func TestSendInstrumentedMeasuresBlockedTime(t *testing.T) {
 // channel over time while sending to only one instance per hop.
 func TestSendMarkerRotatesTargets(t *testing.T) {
 	chs := []chan message{make(chan message, 8), make(chan message, 8), make(chan message, 8)}
-	o := &outEdge{
-		edge:    &edge{kind: PartitionRebalance},
-		targets: chs,
-		chIDs:   []int{0, 0, 0},
-	}
+	o := newOutEdge(&edge{kind: PartitionRebalance}, 1, chs, []int{0, 0, 0})
 	mk := &latencyMarker{origin: 1, hopped: 1, from: "src", source: "src-0"}
 	for i := 0; i < 6; i++ {
 		if !o.sendMarker(context.Background(), mk) {
@@ -337,20 +325,30 @@ func TestInstrumentedJobRecordsLatencyHistograms(t *testing.T) {
 	}
 }
 
-// TestBatchedExchangeMetrics checks an instrumented batched job populates the
-// per-edge batch instrumentation: the batch-size histogram and the two
-// flush-reason counters (size-triggered vs control-message-triggered), and
-// that the histogram never records a batch beyond the configured maximum.
+// TestBatchedExchangeMetrics checks an instrumented job populates the
+// per-edge batch instrumentation — the batch-size histogram and the three
+// flush-reason counters (the batch filled, a control message, the sender ran
+// out of input) — that every flushed batch is counted under exactly one
+// reason, and that no batch exceeds the configured capacity. The source
+// collects 12 records per call against a capacity of 8 and a watermark every
+// 16 records, so its edge sees all three reasons.
 func TestBatchedExchangeMetrics(t *testing.T) {
 	b := NewBuilder(Config{
-		Name:         "batchmetrics",
-		Instrument:   true,
-		MaxBatchSize: 8,
-		// Frequent watermarks force control flushes well below the size cap.
+		Name:              "batchmetrics",
+		Instrument:        true,
+		MaxBatchSize:      8,
 		WatermarkInterval: 16,
 	})
+	events := genEvents(504, 4)
 	sink := NewCollectSink()
-	b.Source("src", NewSliceSourceFactory(genEvents(500, 4)), WithBoundedDisorder(0)).
+	b.Source("src", SourceFunc(func(ctx SourceContext) error {
+		for i := 0; i < len(events); i += 12 {
+			if !ctx.CollectBatch(events[i : i+12]) {
+				return nil
+			}
+		}
+		return nil
+	}), WithBoundedDisorder(0)).
 		KeyBy(func(e Event) string { return e.Key }).
 		Map("op", func(e Event) (Event, bool) { return e, true }).
 		Sink("out", sink.Factory())
@@ -359,7 +357,7 @@ func TestBatchedExchangeMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	runJob(t, j)
-	if sink.Len() != 500 {
+	if sink.Len() != len(events) {
 		t.Fatalf("lost records: %d", sink.Len())
 	}
 	for _, pfx := range []string{"edge.src.op.", "edge.op.out."} {
@@ -372,15 +370,44 @@ func TestBatchedExchangeMetrics(t *testing.T) {
 		}
 		size := j.Metrics().Counter(pfx + "flush_size").Value()
 		ctl := j.Metrics().Counter(pfx + "flush_ctl").Value()
-		if size+ctl == 0 {
-			t.Fatalf("%s no flushes counted", pfx)
+		idle := j.Metrics().Counter(pfx + "flush_idle").Value()
+		if size+ctl+idle != h.Count() {
+			t.Fatalf("%s flush counters (%d+%d+%d) disagree with histogram count %d",
+				pfx, size, ctl, idle, h.Count())
 		}
-		if ctl == 0 {
-			t.Fatalf("%s watermarks flowed but no control flush counted", pfx)
+		if pfx == "edge.src.op." && (size == 0 || ctl == 0 || idle == 0) {
+			t.Fatalf("%s want every flush reason counted, got size=%d ctl=%d idle=%d", pfx, size, ctl, idle)
 		}
-		if size+ctl != h.Count() {
-			t.Fatalf("%s flush counters (%d+%d) disagree with histogram count %d",
-				pfx, size, ctl, h.Count())
+	}
+}
+
+// TestWatermarkLagAgainstEmittedEventTime runs synthetic timestamps starting
+// at 0: the reported watermark lag must be measured against the largest
+// timestamp the source emitted, so it stays below the input's event-time
+// span instead of reading as the wall-clock epoch.
+func TestWatermarkLagAgainstEmittedEventTime(t *testing.T) {
+	events := genEvents(400, 4) // timestamps 0..3990 ms
+	span := events[len(events)-1].Timestamp - events[0].Timestamp
+	b := NewBuilder(Config{Name: "lag", Instrument: true, WatermarkInterval: 8})
+	b.Source("src", NewSliceSourceFactory(events), WithBoundedDisorder(50)).
+		Map("op", func(e Event) (Event, bool) { return e, true }).
+		Sink("out", NewCollectSink().Factory())
+	j, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runJob(t, j)
+	for _, n := range j.Describe().Nodes {
+		for _, ii := range n.Instances {
+			if n.Source {
+				continue
+			}
+			if ii.Watermark <= 0 {
+				t.Fatalf("%s: watermark never advanced", ii.ID)
+			}
+			if ii.WatermarkLagMs < 0 || ii.WatermarkLagMs >= span {
+				t.Fatalf("%s: watermark lag %d ms, want within [0, %d)", ii.ID, ii.WatermarkLagMs, span)
+			}
 		}
 	}
 }

@@ -72,16 +72,17 @@ type BatchContext interface {
 	EmitBatch(events []Event)
 }
 
-// BatchOperator is an optional Operator extension: when Config.ColumnarExec
-// is on and the exchange is batched (MaxBatchSize > 1), the runtime delivers
-// each record batch as a single ProcessBatch call on its columnar view
-// instead of per-record ProcessElement dispatch.
+// BatchOperator is an optional Operator extension: the runtime delivers each
+// record batch to an operator implementing it as a single ProcessBatch call on
+// the batch's columnar view; every other operator gets one ProcessElement call
+// per record.
 //
-// ProcessBatch must process every record of cols and preserve per-record
-// semantics exactly — same state contents, same timer registrations, same
-// emissions in the same order — so that results are independent of the
-// ColumnarExec setting. cols and all of its slices are pooled and only valid
-// for the duration of the call.
+// Batch boundaries depend on scheduling (a batch ships when full, before a
+// control message, or when its sender runs out of input), so ProcessBatch must
+// be equivalent to calling ProcessElement on each record in order — same
+// state contents, same timer registrations, same emissions in the same order,
+// bit for bit — whatever the batch holds. cols and all of its slices are
+// pooled and only valid for the duration of the call.
 type BatchOperator interface {
 	Operator
 	ProcessBatch(cols *Columns, ctx BatchContext) error

@@ -182,7 +182,13 @@ func TestRandomPipelineWithCheckpointRestore(t *testing.T) {
 			for i, v := range inputs {
 				events[i] = Event{Timestamp: int64(i), Value: v}
 			}
-			s := b.Source("src", NewSliceSourceFactory(events))
+			src := NewSliceSourceFactory(events)
+			if stopAt > 0 {
+				src = func(int, int) Source {
+					return &gatedSource{SliceSource: SliceSource{events: events, par: 1}, gate: stopAt}
+				}
+			}
+			s := b.Source("src", src)
 			if stopAt > 0 {
 				s = s.Process("trig", func() Operator { return &savepointTrigger{at: stopAt, job: jobRef} })
 			} else {
@@ -253,4 +259,33 @@ func TestRandomPipelineWithCheckpointRestore(t *testing.T) {
 			}
 		}
 	}
+}
+
+// gatedSource is a SliceSource that, having emitted gate records, waits for a
+// checkpoint barrier to be pending before emitting more. The savepoint trigger
+// fires on record gate, and without the wait a fast source can reach end of
+// stream before the coordinator hands it the savepoint barrier.
+type gatedSource struct {
+	SliceSource
+	gate int
+}
+
+func (g *gatedSource) Run(ctx SourceContext) error {
+	pending := ctx.(*sourceCtx).si.barrierReq
+	for i, e := range g.own() {
+		if i == g.gate {
+			select {
+			case b := <-pending:
+				pending <- b // Collect injects it before the next record
+			case <-time.After(10 * time.Second):
+			}
+		}
+		if !ctx.Collect(e) {
+			return nil
+		}
+		g.mu.Lock()
+		g.offset = i + 1
+		g.mu.Unlock()
+	}
+	return nil
 }

@@ -41,49 +41,34 @@ type outEdge struct {
 	// keeps the hot send path free of clock reads.
 	blocked *metrics.Histogram
 
-	// Batched exchange (Config.MaxBatchSize > 1). pending holds one open
-	// pooled batch per downstream target; a nil entry means no open batch.
-	// Batches flush on size and before any control message, so they never
-	// cross a watermark, barrier, EOS or marker.
+	// pending holds one open pooled batch per downstream target; a nil entry
+	// means no open batch. A batch ships when it holds maxBatch records,
+	// before any control message (so it never crosses a watermark, barrier,
+	// EOS or marker), and when the sender runs out of input (flush).
 	maxBatch int
 	pending  []*[]Event
 	// batchSize and the flush counters are nil when instrumentation is off.
 	batchSize *metrics.Histogram // records per flushed batch
 	flushSize *metrics.Counter   // flushes because the batch filled
 	flushCtl  *metrics.Counter   // flushes forced by a control message
+	flushIdle *metrics.Counter   // flushes because the sender ran out of input
 }
 
-// sendRecord routes one record. Returns false if the job context ended.
+// newOutEdge wires the sender side of edge e towards targets, with batches of
+// at most maxBatch records (values below 1 mean 1).
+func newOutEdge(e *edge, maxBatch int, targets []chan message, chIDs []int) *outEdge {
+	return &outEdge{
+		edge:     e,
+		targets:  targets,
+		chIDs:    chIDs,
+		maxBatch: max(maxBatch, 1),
+		pending:  make([]*[]Event, len(targets)),
+	}
+}
+
+// sendRecord routes one record into its target's open batch. Returns false if
+// the job context ended.
 func (o *outEdge) sendRecord(ctx context.Context, e Event) bool {
-	if o.maxBatch > 1 {
-		return o.sendRecordBatched(ctx, e)
-	}
-	switch o.edge.kind {
-	case PartitionHash:
-		e.Key = o.edge.keySel(e)
-		g := state.KeyGroupFor(e.Key, o.numKeyGroups)
-		t := o.groupToTarget[g]
-		return o.send(ctx, o.targets[t], message{kind: msgRecord, channel: o.chIDs[t], event: e})
-	case PartitionBroadcast:
-		for t := range o.targets {
-			if !o.send(ctx, o.targets[t], message{kind: msgRecord, channel: o.chIDs[t], event: e}) {
-				return false
-			}
-		}
-		return true
-	case PartitionForward:
-		// Exactly one target was wired for forward edges.
-		return o.send(ctx, o.targets[0], message{kind: msgRecord, channel: o.chIDs[0], event: e})
-	default: // PartitionRebalance
-		t := int(o.rr % uint64(len(o.targets)))
-		o.rr++
-		return o.send(ctx, o.targets[t], message{kind: msgRecord, channel: o.chIDs[t], event: e})
-	}
-}
-
-// sendRecordBatched routes one record into the target's open batch, flushing
-// when the batch reaches maxBatch records.
-func (o *outEdge) sendRecordBatched(ctx context.Context, e Event) bool {
 	switch o.edge.kind {
 	case PartitionHash:
 		e.Key = o.edge.keySel(e)
@@ -106,101 +91,47 @@ func (o *outEdge) sendRecordBatched(ctx context.Context, e Event) bool {
 }
 
 // sendRecords routes a slice of records in order, equivalent to calling
-// sendRecord on each but with the per-record dispatch amortized: on batched
-// forward edges the slice is appended into the open batch in chunks, and on
-// batched hash edges consecutive records with the same key (key runs) reuse
-// the previous record's route instead of re-hashing.
+// sendRecord on each but with the per-record dispatch amortized: on forward
+// edges the slice is appended into the open batch in chunks, and on hash
+// edges consecutive records with the same key (key runs) reuse the previous
+// record's route instead of re-hashing.
 func (o *outEdge) sendRecords(ctx context.Context, events []Event) bool {
-	if o.maxBatch > 1 {
-		switch o.edge.kind {
-		case PartitionForward:
-			for len(events) > 0 {
-				b := o.pending[0]
-				if b == nil {
-					b = batchPool.Get().(*[]Event)
-					o.pending[0] = b //streamvet:allow poolretain — sender-owned open batch, flushed before any control message
-				}
-				n := o.maxBatch - len(*b)
-				if n > len(events) {
-					n = len(events)
-				}
-				*b = append(*b, events[:n]...)
-				events = events[n:]
-				if len(*b) >= o.maxBatch {
-					if o.flushSize != nil {
-						o.flushSize.Inc()
-					}
-					if !o.flushTarget(ctx, 0) {
-						return false
-					}
-				}
+	switch o.edge.kind {
+	case PartitionForward:
+		return o.enqueueRun(ctx, 0, events, false, "")
+	case PartitionHash:
+		n := len(events)
+		for i := 0; i < n; {
+			key := o.edge.keySel(events[i])
+			t := o.groupToTarget[state.KeyGroupFor(key, o.numKeyGroups)]
+			// Extend the run of records selecting the same key: they all
+			// route to the same target and are appended in bulk, with the
+			// key group hashed once for the whole run.
+			j := i + 1
+			for j < n && o.edge.keySel(events[j]) == key {
+				j++
 			}
-			return true
-		case PartitionHash:
-			n := len(events)
-			for i := 0; i < n; {
-				e := events[i]
-				e.Key = o.edge.keySel(e)
-				g := state.KeyGroupFor(e.Key, o.numKeyGroups)
-				t := o.groupToTarget[g]
-				// Extend the run of records selecting the same key: they all
-				// route to the same target and are appended in bulk, with the
-				// key group hashed once for the whole run.
-				j := i + 1
-				for j < n && o.edge.keySel(events[j]) == e.Key {
-					j++
-				}
-				run := events[i:j]
-				for len(run) > 0 {
-					b := o.pending[t]
-					if b == nil {
-						b = batchPool.Get().(*[]Event)
-						o.pending[t] = b //streamvet:allow poolretain — sender-owned open batch, flushed before any control message
-					}
-					c := o.maxBatch - len(*b)
-					if c > len(run) {
-						c = len(run)
-					}
-					base := len(*b)
-					*b = append(*b, run[:c]...)
-					for k := base; k < base+c; k++ {
-						(*b)[k].Key = e.Key
-					}
-					run = run[c:]
-					if len(*b) >= o.maxBatch {
-						if o.flushSize != nil {
-							o.flushSize.Inc()
-						}
-						if !o.flushTarget(ctx, t) {
-							return false
-						}
-					}
-				}
-				i = j
+			if !o.enqueueRun(ctx, t, events[i:j], true, key) {
+				return false
 			}
-			return true
-		case PartitionBroadcast, PartitionRebalance:
-			// Per-record routing below: broadcast duplicates every record and
-			// rebalance re-routes each one, so there is no run to amortize.
+			i = j
 		}
-	}
-	for i := range events {
-		if !o.sendRecord(ctx, events[i]) {
-			return false
+		return true
+	default:
+		// Per-record routing: broadcast duplicates every record and
+		// rebalance re-routes each one, so there is no run to amortize.
+		for i := range events {
+			if !o.sendRecord(ctx, events[i]) {
+				return false
+			}
 		}
+		return true
 	}
-	return true
 }
 
+// enqueue appends one record to target t's open batch.
 func (o *outEdge) enqueue(ctx context.Context, t int, e Event) bool {
-	b := o.pending[t]
-	if b == nil {
-		b = batchPool.Get().(*[]Event)
-		// The open batch is sender-owned until flushTarget hands it to the
-		// receiver; flushAll ships it before any control message, so it never
-		// outlives the exchange.
-		o.pending[t] = b //streamvet:allow poolretain — sender-owned open batch, flushed before any control message
-	}
+	b := o.openBatch(t)
 	*b = append(*b, e)
 	if len(*b) < o.maxBatch {
 		return true
@@ -209,6 +140,47 @@ func (o *outEdge) enqueue(ctx context.Context, t int, e Event) bool {
 		o.flushSize.Inc()
 	}
 	return o.flushTarget(ctx, t)
+}
+
+// enqueueRun appends run to target t's open batch in chunks, shipping each
+// batch that fills. When keyed, every appended record's Key becomes key (hash
+// edges stamp the selected key).
+func (o *outEdge) enqueueRun(ctx context.Context, t int, run []Event, keyed bool, key string) bool {
+	for len(run) > 0 {
+		b := o.openBatch(t)
+		c := min(o.maxBatch-len(*b), len(run))
+		base := len(*b)
+		*b = append(*b, run[:c]...)
+		if keyed {
+			for k := base; k < base+c; k++ {
+				(*b)[k].Key = key
+			}
+		}
+		run = run[c:]
+		if len(*b) >= o.maxBatch {
+			if o.flushSize != nil {
+				o.flushSize.Inc()
+			}
+			if !o.flushTarget(ctx, t) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// openBatch returns target t's open batch, taking a pooled one if none is
+// open.
+func (o *outEdge) openBatch(t int) *[]Event {
+	b := o.pending[t]
+	if b == nil {
+		b = batchPool.Get().(*[]Event)
+		// The open batch is sender-owned until flushTarget hands it to the
+		// receiver; flush ships it before any control message and whenever
+		// the sender runs out of input, so it never outlives the exchange.
+		o.pending[t] = b //streamvet:allow poolretain — sender-owned open batch, flushed before control messages and when input runs out
+	}
+	return b //streamvet:allow poolretain — the sender's own open batch, still held in pending
 }
 
 // flushTarget ships target t's open batch, if any.
@@ -224,23 +196,24 @@ func (o *outEdge) flushTarget(ctx context.Context, t int) bool {
 	return o.send(ctx, o.targets[t], message{kind: msgRecordBatch, channel: o.chIDs[t], batch: b})
 }
 
-// flushAll ships every open batch. Called before any control message so
-// batches never reorder records across watermarks, barriers, EOS or markers.
-func (o *outEdge) flushAll(ctx context.Context) bool {
-	if o.maxBatch <= 1 {
-		return true
-	}
+// flush ships every open batch, counting the flush on reason (nil when
+// instrumentation is off) if there was anything to ship. It runs before any
+// control message, so batches never reorder records across watermarks,
+// barriers, EOS or markers, and whenever the sender runs out of input, so a
+// batch never waits for records its sender does not have.
+func (o *outEdge) flush(ctx context.Context, reason *metrics.Counter) bool {
 	flushed := false
-	for t := range o.pending {
-		if o.pending[t] != nil {
-			flushed = true
+	for t, b := range o.pending {
+		if b == nil {
+			continue
 		}
+		flushed = true
 		if !o.flushTarget(ctx, t) {
 			return false
 		}
 	}
-	if flushed && o.flushCtl != nil {
-		o.flushCtl.Inc()
+	if flushed && reason != nil {
+		reason.Inc()
 	}
 	return true
 }
@@ -249,7 +222,7 @@ func (o *outEdge) flushAll(ctx context.Context) bool {
 // reachable downstream instance on this edge, flushing open batches first so
 // per-channel ordering relative to the control message is preserved.
 func (o *outEdge) broadcastCtl(ctx context.Context, m message) bool {
-	if !o.flushAll(ctx) {
+	if !o.flush(ctx, o.flushCtl) {
 		return false
 	}
 	for t := range o.targets {
@@ -267,7 +240,7 @@ func (o *outEdge) broadcastCtl(ctx context.Context, m message) bool {
 // flush first so the marker measures the latency a record at the queue tail
 // would see.
 func (o *outEdge) sendMarker(ctx context.Context, mk *latencyMarker) bool {
-	if !o.flushAll(ctx) {
+	if !o.flush(ctx, o.flushCtl) {
 		return false
 	}
 	t := int(o.mrr % uint64(len(o.targets)))
@@ -320,7 +293,6 @@ type instance struct {
 	numInputs  int
 	outs       []*outEdge
 	op         Operator
-	batchOp    BatchOperator // non-nil only when ColumnarExec is on and op implements it
 	backend    state.Backend
 	timers     *timerService
 	tracker    *eventtime.WatermarkTracker
@@ -445,6 +417,11 @@ func (in *instance) run(ctx context.Context) error {
 		default:
 		}
 		if !ok {
+			// Out of input: ship the open output batches before waiting, so
+			// no record downstream waits for input this instance lacks.
+			if !in.flushOutputs(ctx) {
+				return ctx.Err()
+			}
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -474,6 +451,24 @@ func (in *instance) run(ctx context.Context) error {
 	}
 }
 
+// flushOutputs ships every open output batch. The time counts as busy, like
+// any other send.
+func (in *instance) flushOutputs(ctx context.Context) bool {
+	var start int64
+	if in.busyNs != nil {
+		start = nanotime()
+	}
+	for _, o := range in.outs {
+		if !o.flush(ctx, o.flushIdle) {
+			return false
+		}
+	}
+	if in.busyNs != nil {
+		in.busyNs.Add(nanotime() - start)
+	}
+	return true
+}
+
 // handle dispatches one message; done=true once all inputs are exhausted and
 // shutdown is complete.
 func (in *instance) handle(ctx context.Context, octx *opContext, m message) (bool, error) {
@@ -488,9 +483,6 @@ func (in *instance) handle(ctx context.Context, octx *opContext, m message) (boo
 	}
 
 	switch m.kind {
-	case msgRecord:
-		return false, in.processRecord(octx, m.event)
-
 	case msgRecordBatch:
 		return false, in.processBatch(octx, m.batch)
 
@@ -518,43 +510,35 @@ func (in *instance) handle(ctx context.Context, octx *opContext, m message) (boo
 	}
 }
 
-// processBatch unpacks a batched exchange — through the operator's
-// whole-batch columnar path when wired (Config.ColumnarExec and the operator
-// implements BatchOperator), through the per-record path otherwise — then
-// recycles the batch slice.
+// processBatch runs one record batch through the operator — one ProcessBatch
+// call on the batch's columnar view when the operator is a BatchOperator, one
+// ProcessElement per record otherwise — then recycles the batch slice.
 func (in *instance) processBatch(octx *opContext, b *[]Event) error {
-	if in.batchOp != nil {
-		if err := in.processColumnar(octx, b); err != nil {
-			return err
+	n := int64(len(*b))
+	in.inCounter.Add(n)
+	if in.tracer != nil {
+		if in.batchSpan == nil {
+			in.batchSpan = in.tracer.Begin("operator.process", in.node.name, in.id)
 		}
+		in.batchSize += n
+	}
+	var err error
+	if bo, ok := in.op.(BatchOperator); ok {
+		cols := buildColumns(b)
+		err = bo.ProcessBatch(cols, octx)
+		releaseColumns(cols)
 	} else {
 		for _, e := range *b {
-			if err := in.processRecord(octx, e); err != nil {
-				return err
+			octx.currentKey = e.Key
+			in.backend.SetCurrentKey(e.Key)
+			if err = in.op.ProcessElement(e, octx); err != nil || octx.emitErr != nil {
+				break
 			}
 		}
 	}
 	clear(*b)
 	*b = (*b)[:0]
 	batchPool.Put(b)
-	return nil
-}
-
-// processColumnar runs one batch through the operator's whole-batch path:
-// the columnar view is built in a single pass, counters and the tracer span
-// account for the whole batch at once, and the view is released before the
-// underlying batch slice is recycled by the caller.
-func (in *instance) processColumnar(octx *opContext, b *[]Event) error {
-	cols := buildColumns(b)
-	in.inCounter.Add(int64(len(cols.Events)))
-	if in.tracer != nil {
-		if in.batchSpan == nil {
-			in.batchSpan = in.tracer.Begin("operator.process", in.node.name, in.id)
-		}
-		in.batchSize += int64(len(cols.Events))
-	}
-	err := in.batchOp.ProcessBatch(cols, octx)
-	releaseColumns(cols)
 	if err != nil {
 		return err
 	}
@@ -597,22 +581,6 @@ func (in *instance) closeBatchSpan() {
 	in.batchSize = 0
 }
 
-func (in *instance) processRecord(octx *opContext, e Event) error {
-	octx.currentKey = e.Key
-	in.backend.SetCurrentKey(e.Key)
-	in.inCounter.Inc()
-	if in.tracer != nil {
-		if in.batchSpan == nil {
-			in.batchSpan = in.tracer.Begin("operator.process", in.node.name, in.id)
-		}
-		in.batchSize++
-	}
-	if err := in.op.ProcessElement(e, octx); err != nil {
-		return err
-	}
-	return octx.emitErr
-}
-
 func (in *instance) advanceWatermark(ctx context.Context, octx *opContext, channel int, wm int64) error {
 	combined, advanced := in.tracker.Update(channel, wm)
 	if !advanced {
@@ -626,7 +594,7 @@ func (in *instance) advanceWatermark(ctx context.Context, octx *opContext, chann
 func (in *instance) emitWatermarkProgress(ctx context.Context, octx *opContext, wm int64) error {
 	if in.wmGauge != nil && wm != eventtime.MaxWatermark {
 		in.wmGauge.Set(wm)
-		in.wmLag.Set(eventtime.Lag(in.job.cfg.Clock.Now(), wm))
+		in.wmLag.Set(eventtime.Lag(in.job.maxEmittedTs(), wm))
 	}
 	// Fire due timers until none remain: an OnTimer callback may register
 	// further timers at or below wm (cascades, e.g. session cleanup), which

@@ -8,11 +8,16 @@ import (
 // SourceContext is handed to a running Source.
 type SourceContext interface {
 	// Collect emits an event downstream. It blocks under backpressure and
-	// returns false when the source should stop (job cancelled).
+	// returns false when the source should stop (job cancelled). The record
+	// has shipped when Collect returns — the source may not collect again for
+	// a while — so it travels as a batch of one; sources that produce records
+	// in bursts should use CollectBatch.
 	Collect(e Event) bool
 	// CollectBatch emits events in order, equivalent to calling Collect on
 	// each, with the stop/barrier checks and routing dispatch amortized over
-	// the slice. Watermark semantics are preserved exactly: the generator
+	// the slice, and the records packed into batches of up to
+	// Config.MaxBatchSize that ship before the call returns. Watermark
+	// semantics are preserved exactly: the generator
 	// observes every record and punctuated watermarks land between the same
 	// two records as on the per-record path. Unlike Collect, a checkpoint
 	// barrier can only be injected before the first record of the slice, so

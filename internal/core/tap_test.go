@@ -66,7 +66,6 @@ func TestTapObservesRecordsWatermarksEOS(t *testing.T) {
 	for _, cfg := range []Config{
 		{Name: "tap", WatermarkInterval: 16},
 		{Name: "tap-batched", WatermarkInterval: 16, MaxBatchSize: 8},
-		{Name: "tap-columnar", WatermarkInterval: 16, MaxBatchSize: 8, ColumnarExec: true},
 	} {
 		t.Run(cfg.Name, func(t *testing.T) {
 			tap := &recordingTap{}

@@ -110,16 +110,16 @@ func (t *WatermarkTracker) Update(channel int, wm int64) (int64, bool) {
 // Current returns the combined watermark.
 func (t *WatermarkTracker) Current() int64 { return t.current }
 
-// Lag returns the event-time lag of a watermark relative to processing time:
-// nowMillis - wm, the "how far behind real time is this operator's progress"
-// signal monitoring systems chart. The sentinel values report 0 lag: before
-// any progress (MinWatermark) there is nothing to lag behind, and after the
-// stream ends (MaxWatermark) progress is complete. The result is negative
-// when event time runs ahead of the processing clock (replays of synthetic or
-// future-stamped data).
-func Lag(nowMillis, wm int64) int64 {
-	if wm == MinWatermark || wm == MaxWatermark {
+// Lag returns how far a watermark trails a reference event time: ref - wm.
+// The engine's reference is the largest timestamp its sources have emitted,
+// so the lag is the stretch of event time already in flight that the
+// watermark does not yet cover — meaningful for live, historical and
+// synthetic timestamps alike. The sentinel values report 0 lag: before any
+// progress (wm or ref at MinWatermark) there is nothing to lag behind, and
+// after the stream ends (MaxWatermark) progress is complete.
+func Lag(ref, wm int64) int64 {
+	if wm == MinWatermark || wm == MaxWatermark || ref == MinWatermark {
 		return 0
 	}
-	return nowMillis - wm
+	return ref - wm
 }

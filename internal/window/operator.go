@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -23,32 +22,17 @@ type Aggregate struct {
 	Emit func(key string, w Window, acc any) core.Event
 	// AddBatch, when non-nil, folds a same-key, same-window segment of a
 	// columnar batch (indices [start, end) of cols) into the accumulator in
-	// one call — the whole-batch fast path used under Config.ColumnarExec.
-	// It must be equivalent to folding the segment element-by-element with
-	// Add; for float sums "equivalent" is up to the rounding re-association
-	// of the unrolled kernel (exact for counts, min and max).
+	// one call — the whole-batch path's fold. Where a batch is cut depends on
+	// scheduling, so the result must be bit-identical to folding the segment
+	// element by element with Add; re-associating a float sum, as an unrolled
+	// kernel does, would make output depend on scheduling.
 	AddBatch func(acc any, cols *core.Columns, start, end int) any
 }
 
-// segScratch pools the dense extraction buffer AddBatch feeds the unrolled
-// kernels. Aggregate closures are shared across parallel operator instances,
-// so the scratch cannot be captured per closure.
-var segScratch = sync.Pool{New: func() any { s := make([]float64, 0, 256); return &s }}
-
 // FloatAggregate builds an Aggregate over float64 values using an AggFn and
-// a value extractor. The built-in Sum, Min and Max functions get an AddBatch
-// backed by the E10 unrolled kernels (sumKernel and friends), so the
-// columnar path folds whole same-window segments branch-free.
+// a value extractor. Its AddBatch folds a segment in order with fn, without
+// boxing the accumulator per element.
 func FloatAggregate(fn AggFn, get func(core.Event) float64) Aggregate {
-	var kernel func([]float64) float64
-	switch fn.Name {
-	case "sum":
-		kernel = sumKernel
-	case "min":
-		kernel = minKernel
-	case "max":
-		kernel = maxKernel
-	}
 	return Aggregate{
 		Create: func() any { return fn.Identity },
 		Add:    func(acc any, e core.Event) any { return fn.Combine(acc.(float64), get(e)) },
@@ -58,61 +42,37 @@ func FloatAggregate(fn AggFn, get func(core.Event) float64) Aggregate {
 		},
 		AddBatch: func(acc any, cols *core.Columns, start, end int) any {
 			a := acc.(float64)
-			// Short segments fold sequentially: below the unroll width the
-			// kernel cannot win, and the sequential fold is bit-identical to
-			// the per-record path.
-			if kernel == nil || end-start < 8 {
-				for i := start; i < end; i++ {
-					a = fn.Combine(a, get(cols.Events[i]))
-				}
-				return a
-			}
-			sp := segScratch.Get().(*[]float64)
-			seg := (*sp)[:0]
 			for i := start; i < end; i++ {
-				seg = append(seg, get(cols.Events[i]))
+				a = fn.Combine(a, get(cols.Events[i]))
 			}
-			a = fn.Combine(a, kernel(seg))
-			*sp = seg[:0]
-			segScratch.Put(sp)
 			return a
 		},
 	}
 }
 
 // ValueAggregate is FloatAggregate for streams whose Value already is the
-// float64 being aggregated. Its batch path feeds the columnar dense value
-// column straight into the unrolled kernels — no per-element extractor calls
-// at all, the layout §4.2's accelerator results assume.
+// float64 being aggregated. For the built-in Sum, Min and Max its batch path
+// folds the columnar dense value column with a monomorphic loop — no
+// per-element extractor or Combine calls — that is bit-identical to Add.
 func ValueAggregate(fn AggFn) Aggregate {
-	get := func(e core.Event) float64 { return e.Value.(float64) }
-	agg := FloatAggregate(fn, get)
-	var kernel func([]float64) float64
+	agg := FloatAggregate(fn, func(e core.Event) float64 { return e.Value.(float64) })
+	var fold func(acc float64, vals []float64) float64
 	switch fn.Name {
 	case "sum":
-		kernel = sumKernel
+		fold = sumFold
 	case "min":
-		kernel = minKernel
+		fold = minKernel
 	case "max":
-		kernel = maxKernel
+		fold = maxKernel
 	default:
 		return agg
 	}
+	perElement := agg.AddBatch
 	agg.AddBatch = func(acc any, cols *core.Columns, start, end int) any {
-		a := acc.(float64)
-		if end-start < 8 {
-			for i := start; i < end; i++ {
-				a = fn.Combine(a, cols.Events[i].Value.(float64))
-			}
-			return a
-		}
 		if vals := cols.Vals(); vals != nil {
-			return fn.Combine(a, kernel(vals[start:end]))
+			return fold(acc.(float64), vals[start:end])
 		}
-		for i := start; i < end; i++ {
-			a = fn.Combine(a, cols.Events[i].Value.(float64))
-		}
-		return a
+		return perElement(acc, cols, start, end)
 	}
 	return agg
 }
@@ -149,7 +109,11 @@ func WithLateCounter(c *metrics.Counter) Option {
 
 // Apply attaches a window operator to a keyed stream.
 func Apply(s *core.Stream, name string, a Assigner, agg Aggregate, opts ...Option) *core.Stream {
-	fac := func() core.Operator {
+	return s.Process(name, operatorFactory(a, agg, opts...))
+}
+
+func operatorFactory(a Assigner, agg Aggregate, opts ...Option) core.OperatorFactory {
+	return func() core.Operator {
 		op := &operator{assigner: a, agg: agg}
 		op.fixedEnd, _ = a.(FixedEnd)
 		op.point, _ = a.(PointAssigner)
@@ -158,7 +122,6 @@ func Apply(s *core.Stream, name string, a Assigner, agg Aggregate, opts ...Optio
 		}
 		return op
 	}
-	return s.Process(name, fac)
 }
 
 // operator is the engine window operator: accumulators live in managed keyed
@@ -258,7 +221,7 @@ func (o *operator) ProcessElement(e core.Event, ctx core.Context) error {
 	return nil
 }
 
-// ProcessBatch implements core.BatchOperator: the whole-batch columnar path.
+// ProcessBatch implements core.BatchOperator: the whole-batch path.
 // The exchange flushes open batches before every control message, so the
 // watermark — and with it every lateness decision — is constant across the
 // batch. Records are walked in arrival order, grouped into runs of equal

@@ -93,9 +93,9 @@ func (b *BatchTumbling) Flush() (float64, bool) {
 	case "sum":
 		out = sumKernel(b.tail)
 	case "min":
-		out = minKernel(b.tail)
+		out = minKernel(inf, b.tail)
 	case "max":
-		out = maxKernel(b.tail)
+		out = maxKernel(-inf, b.tail)
 	default:
 		out = b.fn.Identity
 		for _, v := range b.tail {
@@ -120,9 +120,9 @@ func (b *BatchTumbling) Process(values []float64) []float64 {
 		case "sum":
 			out = append(out, sumKernel(seg))
 		case "min":
-			out = append(out, minKernel(seg))
+			out = append(out, minKernel(inf, seg))
 		case "max":
-			out = append(out, maxKernel(seg))
+			out = append(out, maxKernel(-inf, seg))
 		default:
 			acc := b.fn.Identity
 			for _, v := range seg {
@@ -153,20 +153,32 @@ func sumKernel(seg []float64) float64 {
 	return acc
 }
 
-func minKernel(seg []float64) float64 {
-	acc := inf
+// sumFold adds seg to acc in order: bit-identical to folding with
+// Sum.Combine, unlike sumKernel, whose independent accumulators re-associate
+// the additions.
+func sumFold(acc float64, seg []float64) float64 {
 	for _, v := range seg {
-		if v < acc {
+		acc += v
+	}
+	return acc
+}
+
+// minKernel folds seg into acc exactly as repeated Min.Combine(acc, v) would
+// — ties and NaNs included — so it is bit-identical to the per-element fold
+// wherever a segment starts or ends.
+func minKernel(acc float64, seg []float64) float64 {
+	for _, v := range seg {
+		if !(acc < v) {
 			acc = v
 		}
 	}
 	return acc
 }
 
-func maxKernel(seg []float64) float64 {
-	acc := -inf
+// maxKernel is minKernel for Max.Combine.
+func maxKernel(acc float64, seg []float64) float64 {
 	for _, v := range seg {
-		if v > acc {
+		if !(acc > v) {
 			acc = v
 		}
 	}

@@ -430,18 +430,38 @@ func TestCountWindowEmitsTrueStart(t *testing.T) {
 	}
 }
 
-// buildColumnarWindowJob is buildWindowJob with a batched exchange and the
-// ColumnarExec flag under test.
-func buildColumnarWindowJob(t *testing.T, events []core.Event, assigner Assigner, agg Aggregate, columnar bool, opts ...Option) *core.CollectSink {
+// perRecord hides an operator's ProcessBatch, so the runtime drives it
+// through the per-record adapter.
+type perRecord struct{ core.Operator }
+
+// chunkSource emits events through CollectBatch, chunk records per call, so
+// the exchange carries multi-record batches.
+func chunkSource(events []core.Event, chunk int) core.SourceFactory {
+	return core.SourceFunc(func(ctx core.SourceContext) error {
+		for i := 0; i < len(events); i += chunk {
+			if !ctx.CollectBatch(events[i:min(i+chunk, len(events))]) {
+				return nil
+			}
+		}
+		return nil
+	})
+}
+
+// runBatchWindowJob runs a keyed window over events at the given batch
+// capacity, through ProcessBatch or (wholeBatch false) the per-record
+// adapter, and returns the output in arrival order.
+func runBatchWindowJob(t *testing.T, events []core.Event, assigner Assigner, agg Aggregate, capacity int, wholeBatch bool, opts ...Option) []string {
 	t.Helper()
 	sink := core.NewCollectSink()
-	b := core.NewBuilder(core.Config{
-		Name: "win-columnar", WatermarkInterval: 4, MaxBatchSize: 16, ColumnarExec: columnar,
-	})
-	s := b.Source("src", core.NewSliceSourceFactory(events), core.WithBoundedDisorder(0)).
+	b := core.NewBuilder(core.Config{Name: "win-batch", WatermarkInterval: 64, MaxBatchSize: capacity})
+	s := b.Source("src", chunkSource(events, 256), core.WithBoundedDisorder(0)).
 		KeyBy(func(e core.Event) string { return e.Key })
-	Apply(s, "window", assigner, agg, opts...).
-		Sink("out", sink.Factory())
+	window := operatorFactory(assigner, agg, opts...)
+	fac := window
+	if !wholeBatch {
+		fac = func() core.Operator { return perRecord{window()} }
+	}
+	s.Process("window", fac).Sink("out", sink.Factory())
 	j, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -451,27 +471,35 @@ func buildColumnarWindowJob(t *testing.T, events []core.Event, assigner Assigner
 	if err := j.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	return sink
+	var out []string
+	for _, e := range sink.Events() {
+		out = append(out, fmt.Sprintf("%s@%d=%v", e.Key, e.Timestamp, e.Value))
+	}
+	return out
 }
 
-// TestColumnarWindowMatchesPerRecord runs the same windowed aggregations with
-// ColumnarExec off and on and requires identical output multisets, covering
-// the whole-batch fast path (tumbling sum/count), the per-element fallback
-// (sessions) and the late-but-allowed re-emit replay.
+// TestColumnarWindowMatchesPerRecord runs the same windowed aggregations
+// through the per-record adapter and through ProcessBatch at batch capacities
+// 1 and 64, and requires the same output in the same order, bit for bit:
+// covering the whole-batch fold (tumbling sums over non-integral values,
+// which an unrolled kernel would re-associate, and counts), the per-element
+// fallback (sessions, sliding windows) and the late-but-allowed re-emit
+// replay.
 func TestColumnarWindowMatchesPerRecord(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	var events []core.Event
-	for i := 0; i < 600; i++ {
-		// Key runs of a few records, integer-valued floats so sums are exact.
+	for i := 0; i < 1200; i++ {
+		// Key runs of 16 records, so same-key, same-window segments are long
+		// enough for an unrolled kernel to engage.
 		events = append(events, core.Event{
-			Key:       fmt.Sprintf("k%d", (i/3)%7),
+			Key:       fmt.Sprintf("k%d", (i/16)%7),
 			Timestamp: int64(i),
-			Value:     float64(rng.Intn(100)),
+			Value:     0.1 * float64(rng.Intn(1000)),
 		})
 	}
 	// A late-but-allowed straggler per key exercises the re-emit replay.
 	for k := 0; k < 7; k++ {
-		events = append(events, core.Event{Key: fmt.Sprintf("k%d", k), Timestamp: 5, Value: 1.0})
+		events = append(events, core.Event{Key: fmt.Sprintf("k%d", k), Timestamp: 5, Value: 0.1})
 	}
 	cases := []struct {
 		name     string
@@ -480,32 +508,28 @@ func TestColumnarWindowMatchesPerRecord(t *testing.T) {
 		opts     []Option
 	}{
 		{"tumbling-sum", NewTumbling(100), FloatAggregate(Sum, func(e core.Event) float64 { return e.Value.(float64) }), nil},
+		{"tumbling-value-sum", NewTumbling(100), ValueAggregate(Sum), nil},
+		{"tumbling-value-min", NewTumbling(100), ValueAggregate(Min), nil},
 		{"tumbling-count-lateness", NewTumbling(100), CountAggregate(), []Option{WithAllowedLateness(1_000_000)}},
 		{"sliding-count", NewSliding(100, 50), CountAggregate(), nil},
 		{"session-count", NewSession(40), CountAggregate(), nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			off := buildColumnarWindowJob(t, events, tc.assigner, tc.agg, false, tc.opts...)
-			on := buildColumnarWindowJob(t, events, tc.assigner, tc.agg, true, tc.opts...)
-			toMultiset := func(evs []core.Event) map[string]int {
-				m := map[string]int{}
-				for _, e := range evs {
-					m[fmt.Sprintf("%s@%d=%v", e.Key, e.Timestamp, e.Value)]++
+			want := runBatchWindowJob(t, events, tc.assigner, tc.agg, 64, false, tc.opts...)
+			if len(want) == 0 {
+				t.Fatal("no output")
+			}
+			for _, capacity := range []int{1, 64} {
+				got := runBatchWindowJob(t, events, tc.assigner, tc.agg, capacity, true, tc.opts...)
+				if len(got) != len(want) {
+					t.Fatalf("capacity %d: %d outputs, per-record %d", capacity, len(got), len(want))
 				}
-				return m
-			}
-			a, b := toMultiset(off.Events()), toMultiset(on.Events())
-			if len(a) != len(b) {
-				t.Fatalf("distinct outputs differ: off=%d on=%d", len(a), len(b))
-			}
-			for k, n := range a {
-				if b[k] != n {
-					t.Fatalf("output %q: off=%d on=%d", k, n, b[k])
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("capacity %d: output %d is %s, per-record %s", capacity, i, got[i], want[i])
+					}
 				}
-			}
-			if off.Len() != on.Len() {
-				t.Fatalf("output count differs: off=%d on=%d", off.Len(), on.Len())
 			}
 		})
 	}
