@@ -119,7 +119,7 @@ func runLateSum(t *testing.T, capacity, par int, atLeastOnce bool) []core.Event 
 	b := core.NewBuilder(batchConfig("eq-late-sum", capacity, par, atLeastOnce))
 	s := b.Source("src", chunkSource(lateSumEvents(), 100), core.WithBoundedDisorder(100), core.WithParallelism(1)).
 		KeyBy(func(e core.Event) string { return e.Key })
-	window.Apply(s, "win", window.NewTumbling(1_000), window.ValueAggregate(window.Sum), window.WithAllowedLateness(150)).
+	window.Apply(s, "win", window.NewTumbling(1_000), window.FloatAggregate(window.Sum, func(e core.Event) float64 { return e.Value.(float64) }), window.WithAllowedLateness(150)).
 		Sink("out", sink.Factory())
 	runJob(t, b)
 	return sink.Events()

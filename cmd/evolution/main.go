@@ -40,7 +40,7 @@ var timeline = []struct {
 			"processing guarantees ......... internal/core (aligned barriers, exactly-once restore)",
 			"scalability ................... internal/core (parallel operator instances, hash partitioning)",
 			"reconfiguration ............... core.RescaleCheckpoint (key-group migration)",
-			"backpressure & elasticity ..... internal/load (credit control, DS2-style scaling)",
+			"backpressure & elasticity ..... internal/core (bounded channels) + internal/load (DS2-style scaling)",
 			"lineage / micro-batch ......... internal/lineage (discretized streams baseline)",
 			"frontiers (Naiad) ............. internal/eventtime (Frontier, pointstamps)",
 			"stream SQL .................... internal/cql",

@@ -22,6 +22,11 @@ func TestSeededViolations(t *testing.T) {
 			contains: "stored in struct field",
 		},
 		{
+			dir:      "processbatch",
+			analyzer: NewPoolRetain([]string{"seedprocessbatch.Event"}),
+			contains: "stored in struct field or package variable last",
+		},
+		{
 			dir:      "msgexhaustive",
 			analyzer: NewMsgExhaustive("seedmsgexhaustive.kind"),
 			contains: "missing cases for kindBarrier",
@@ -62,7 +67,7 @@ func TestSeededViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range cases {
-		t.Run(tc.analyzer.Name, func(t *testing.T) {
+		t.Run(tc.dir, func(t *testing.T) {
 			dir := filepath.Join(root, "internal/analysis/streamvet/testdata/seeded", tc.dir)
 			pkg, err := LoadDir(root, dir)
 			if err != nil {

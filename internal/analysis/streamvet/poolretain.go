@@ -10,12 +10,9 @@ import (
 // retained: any value of type *[]E for a configured E is treated as a pooled
 // batch (that is exactly the type the exchange pool traffics in), as is the
 // result of a (*sync.Pool).Get type-asserted to a pointer-to-slice or slice
-// type. structTypes additionally name pooled columnar-buffer structs: any
-// value of type *S for a configured struct S is treated as pooled, and
-// selecting a field from it (cols.Vals, cols.Events) yields an alias of its
-// pooled buffers. Stores into such a struct's own fields are the intended
-// build/reset path and stay silent, exactly like stores into the batch
-// itself.
+// type. The []E parameter of a method named ProcessBatch is pooled too: the
+// runtime hands a BatchOperator the exchange batch itself and recycles it when
+// the call returns, so that parameter is checked exactly like a *[]E handle.
 //
 // A pooled batch — or any alias that shares its backing array: the
 // dereferenced slice, a sub-slice, an element pointer, or an append to the
@@ -25,27 +22,23 @@ import (
 // on a channel; returning it; or capturing it in a goroutine or an escaping
 // closure. Passing the batch to an ordinary call is permitted: that is the
 // ownership handoff the exchange itself performs.
-func NewPoolRetain(elemTypes []string, structTypes ...string) *Analyzer {
+func NewPoolRetain(elemTypes []string) *Analyzer {
 	elems := make(map[string]bool, len(elemTypes))
 	for _, t := range elemTypes {
 		elems[t] = true
-	}
-	structs := make(map[string]bool, len(structTypes))
-	for _, t := range structTypes {
-		structs[t] = true
 	}
 	a := &Analyzer{
 		Name: "poolretain",
 		Doc:  "reports pooled exchange batches (or aliases of them) retained past the receiving call",
 	}
 	a.Run = func(pass *Pass) error {
-		pr := &poolRetain{pass: pass, elems: elems, structs: structs}
+		pr := &poolRetain{pass: pass, elems: elems}
 		for _, file := range pass.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch fn := n.(type) {
 				case *ast.FuncDecl:
 					if fn.Body != nil {
-						pr.checkFunc(fn.Body)
+						pr.checkFunc(fn)
 					}
 					return false // checkFunc covers nested FuncLits
 				}
@@ -58,27 +51,27 @@ func NewPoolRetain(elemTypes []string, structTypes ...string) *Analyzer {
 }
 
 type poolRetain struct {
-	pass    *Pass
-	elems   map[string]bool
-	structs map[string]bool
+	pass  *Pass
+	elems map[string]bool
 	// tainted holds local variables bound to a pooled batch or an alias of
 	// one, per analyzed function.
 	tainted map[types.Object]bool
 }
 
 // isPooledPtrType reports whether t is *[]E for a configured element type E —
-// the shape of a pooled batch handle — or *S for a configured pooled
-// columnar-buffer struct S.
+// the shape of a pooled batch handle.
 func (pr *poolRetain) isPooledPtrType(t types.Type) bool {
 	ptr, ok := types.Unalias(t).(*types.Pointer)
 	if !ok {
 		return false
 	}
-	elem := types.Unalias(ptr.Elem())
-	if slice, ok := elem.(*types.Slice); ok {
-		return pr.elems[qualifiedTypeName(types.Unalias(slice.Elem()))]
-	}
-	return pr.structs[qualifiedTypeName(elem)]
+	return pr.isBatchType(ptr.Elem())
+}
+
+// isBatchType reports whether t is []E for a configured element type E.
+func (pr *poolRetain) isBatchType(t types.Type) bool {
+	slice, ok := types.Unalias(t).(*types.Slice)
+	return ok && pr.elems[qualifiedTypeName(types.Unalias(slice.Elem()))]
 }
 
 // isPoolGetAssert reports whether e is `pool.Get().(*[]T)` or
@@ -139,11 +132,6 @@ func (pr *poolRetain) taintedExpr(e ast.Expr) bool {
 	case *ast.StarExpr:
 		// Dereferencing a pooled pointer yields the pooled slice itself.
 		return pr.taintedExpr(x.X)
-	case *ast.SelectorExpr:
-		// A field of a pooled columnar struct (cols.Vals, cols.Events) shares
-		// its pooled buffers; selecting through a tainted base carries the
-		// taint.
-		return pr.taintedExpr(x.X)
 	case *ast.SliceExpr:
 		// A sub-slice shares the batch's backing array.
 		return pr.taintedExpr(x.X)
@@ -159,11 +147,20 @@ func (pr *poolRetain) taintedExpr(e ast.Expr) bool {
 			return pr.taintedExpr(x.X)
 		}
 	case *ast.CallExpr:
-		// append(batch, ...) may return the batch's own backing array.
-		// Appending a batch's *elements* to another slice copies them and is
-		// safe.
+		// append(batch, ...) may return the batch's own backing array, and
+		// append(dst, &batch[i]) carries an alias into dst. Spreading a
+		// batch's elements into another slice (append(dst, batch...)) copies
+		// them and is safe.
 		if fun, ok := x.Fun.(*ast.Ident); ok && fun.Name == "append" && len(x.Args) > 0 {
-			return pr.taintedExpr(x.Args[0])
+			args := x.Args
+			if x.Ellipsis.IsValid() {
+				args = args[:len(args)-1]
+			}
+			for _, a := range args {
+				if pr.taintedExpr(a) {
+					return true
+				}
+			}
 		}
 	case *ast.CompositeLit:
 		// A composite value embedding the batch carries the alias.
@@ -210,9 +207,19 @@ func (pr *poolRetain) taintedExpr(e ast.Expr) bool {
 
 // checkFunc analyzes one function body: first a fixpoint pass propagating
 // taint through local assignments, then a reporting pass over the escape
-// points.
-func (pr *poolRetain) checkFunc(body *ast.BlockStmt) {
+// points. A ProcessBatch method's []E parameters start out tainted.
+func (pr *poolRetain) checkFunc(fn *ast.FuncDecl) {
+	body := fn.Body
 	pr.tainted = make(map[types.Object]bool)
+	if fn.Recv != nil && fn.Name.Name == "ProcessBatch" {
+		for _, field := range fn.Type.Params.List {
+			for _, id := range field.Names {
+				if obj := pr.pass.TypesInfo.Defs[id]; obj != nil && pr.isBatchType(obj.Type()) {
+					pr.tainted[obj] = true
+				}
+			}
+		}
+	}
 	// Fixpoint: a local bound to a tainted expression becomes tainted, which
 	// can make further expressions tainted.
 	for changed := true; changed; {
@@ -313,12 +320,6 @@ func (pr *poolRetain) checkStore(lhs, rhs ast.Expr) {
 			pr.pass.Reportf(rhs.Pos(), "pooled batch (or an alias of its backing array) stored in package-level variable %s; pooled exchange batches must not outlive the call that received them", l.Name)
 		}
 	case *ast.SelectorExpr:
-		if pr.taintedExpr(l.X) {
-			// Store into a field of the pooled struct itself (the columnar
-			// build path: cols.Keys = append(cols.Keys[:0], ...)) — intended
-			// use, like *b = (*b)[:0] on a batch.
-			return
-		}
 		pr.pass.Reportf(rhs.Pos(), "pooled batch (or an alias of its backing array) stored in struct field or package variable %s; pooled exchange batches must not outlive the call that received them", l.Sel.Name)
 	case *ast.IndexExpr:
 		if !pr.taintedExpr(l.X) {

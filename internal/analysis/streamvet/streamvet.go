@@ -278,7 +278,7 @@ func staleAllows(allows map[string]map[int]map[string]*allowEntry, ran map[strin
 // types and packages.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		NewPoolRetain([]string{"repro/internal/core.Event"}, "repro/internal/core.Columns"),
+		NewPoolRetain([]string{"repro/internal/core.Event"}),
 		NewMsgExhaustive(
 			"repro/internal/core.msgKind",
 			"repro/internal/core.PartitionKind",

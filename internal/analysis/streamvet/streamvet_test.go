@@ -24,7 +24,7 @@ func golden(t *testing.T, dir string, a *Analyzer) {
 }
 
 func TestPoolRetainGolden(t *testing.T) {
-	golden(t, "poolretain", NewPoolRetain([]string{"poolretain.Event"}, "poolretain.Columns"))
+	golden(t, "poolretain", NewPoolRetain([]string{"poolretain.Event"}))
 }
 
 func TestMsgExhaustiveGolden(t *testing.T) {

@@ -105,71 +105,74 @@ var intPool = sync.Pool{New: func() any { b := make([]int, 0, 8); return &b }}
 
 type intHolder struct{ ints *[]int }
 
-// --- Pooled columnar buffers (configured struct type "poolretain.Columns") ---
-
-// Columns stands in for the engine's pooled columnar batch view.
-type Columns struct {
-	Events []Event
-	Keys   []string
-	Vals   []float64
-}
-
-var colsPool = sync.Pool{New: func() any { return new(Columns) }}
-
-type colHolder struct {
-	cols *Columns
-	vals []float64
-	evs  []Event
-	keys []string
-	fold func(*Columns) int
-}
-
 // closureOwnParam: a closure whose OWN parameter is a pooled handle captures
 // nothing — its future callers hand it fresh values — so storing the closure
 // is safe.
-func closureOwnParam(h *colHolder) {
-	h.fold = func(c *Columns) int { return len(c.Vals) }
+func closureOwnParam(h *opHolder) {
+	h.fold = func(b *[]Event) int { return len(*b) }
 }
 
-// retainColumns covers escapes of the pooled struct and of its field slices,
-// which alias the pooled buffers.
-func retainColumns(h *colHolder, c *Columns) *Columns {
-	h.cols = c         // want `stored in struct field or package variable cols`
-	h.vals = c.Vals    // want `stored in struct field or package variable vals`
-	h.evs = c.Events   // want `stored in struct field or package variable evs`
-	h.keys = c.Keys[1:] // want `stored in struct field or package variable keys`
+// --- ProcessBatch parameters: the exchange batch handed to a BatchOperator ---
+
+type opHolder struct {
+	batch []Event
+	elems []*Event
+	fold  func(*[]Event) int
+}
+
+func (h *opHolder) emit([]Event) {}
+
+type retainField struct{ opHolder }
+
+// ProcessBatch stores the batch, a sub-slice of it and an element pointer.
+func (o *retainField) ProcessBatch(batch []Event, _ any) error {
+	o.batch = batch                      // want `stored in struct field or package variable batch`
+	o.batch = batch[2:]                  // want `stored in struct field or package variable batch`
+	o.elems[0] = &batch[0]               // want `stored in a container that outlives the call`
+	o.elems = append(o.elems, &batch[1]) // want `stored in struct field or package variable elems`
+	return nil
+}
+
+type retainReturn struct{}
+
+// ProcessBatch returns an alias of its batch.
+func (retainReturn) ProcessBatch(batch []Event) []Event {
+	return batch[:1] // want `returned from the function`
+}
+
+type retainGoroutine struct{}
+
+// ProcessBatch captures its batch in a goroutine.
+func (retainGoroutine) ProcessBatch(batch []Event) error {
 	go func() { // want `captured by a goroutine`
-		_ = c.Vals
+		_ = batch[0]
 	}()
-	return c // want `returned from the function`
+	return nil
 }
 
-// retainColumnsFlow: taint flows through locals bound to a field alias.
-func retainColumnsFlow(h *colHolder) {
-	c := colsPool.Get().(*Columns)
-	vals := c.Vals
-	h.vals = vals // want `stored in struct field or package variable vals`
-	colsPool.Put(c)
-}
+type safeOperator struct{ opHolder }
 
-// buildColumns exercises the intended build path: stores into the pooled
-// struct's own fields are silent, as is recycling it.
-func buildColumns(c *Columns, b *[]Event) {
-	c.Events = *b
-	c.Keys = c.Keys[:0]
-	c.Vals = append(c.Vals[:0], 1.0)
-	for i := range c.Events {
-		c.Keys = append(c.Keys, c.Events[i].Key)
+// ProcessBatch exercises the permitted patterns: element copies, copying
+// appends into another backing array, and in-place compaction handed to a
+// call.
+func (o *safeOperator) ProcessBatch(batch []Event, _ any) error {
+	e := batch[0] // element copy is a value, not an alias
+	o.elems = append(o.elems, &e)
+
+	o.batch = append(o.batch[:0], batch...) // copies elements into o.batch's backing array
+
+	out := batch[:0]
+	for i := range batch {
+		if batch[i].Key != "" {
+			out = append(out, batch[i])
+		}
 	}
-	colsPool.Put(c)
+	o.emit(out) // the call is the ownership handoff
+	return nil
 }
 
-// safeColumnUses: value reads of columns and copying appends are fine.
-func safeColumnUses(h *colHolder, c *Columns) {
-	v := c.Vals[0] // element copy
-	_ = v
-	dst := make([]float64, 0, len(c.Vals))
-	dst = append(dst, c.Vals...) // copies into dst's backing array
-	h.vals = dst
-	h.cols = nil
+// Process takes a []Event it does not receive from the exchange: only a
+// ProcessBatch parameter is pooled by signature.
+func (o *safeOperator) Process(batch []Event) {
+	o.batch = batch
 }

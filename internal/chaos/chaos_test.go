@@ -41,7 +41,7 @@ func pipelineEvents() []core.Event {
 // exactly-once checkpointing every 50 records. The small channel capacity
 // backpressures the source and the relay paces the stream, so several
 // checkpoints complete mid-run and the armed crash ordinals are reached.
-func pipelineFactory(events []core.Event, inj *PanicInjector, mutate func(*core.Config)) ha.JobFactory {
+func pipelineFactory(events []core.Event, wrapRelay func(core.OperatorFactory) core.OperatorFactory, mutate func(*core.Config)) ha.JobFactory {
 	return func(sink *core.CollectSink, store core.SnapshotStore) (*core.Job, error) {
 		cfg := core.Config{
 			Name:               "chaos-matrix",
@@ -60,8 +60,8 @@ func pipelineFactory(events []core.Event, inj *PanicInjector, mutate func(*core.
 			ctx.Emit(e)
 			return nil
 		})
-		if inj != nil {
-			relay = inj.Wrap(relay)
+		if wrapRelay != nil {
+			relay = wrapRelay(relay)
 		}
 		keyed := b.Source("src", core.NewSliceSourceFactory(events), core.WithBoundedDisorder(0)).
 			Process("relay", relay).
@@ -141,9 +141,30 @@ type matrixScenario struct {
 	// images. Restarted incarnations open fresh LSM dirs — recovery must
 	// come entirely from the checkpoint store, as on a replacement worker.
 	lsmNative bool
+	// fullEvery, when nonzero, pins Config.FullSnapshotEvery.
+	fullEvery int
+	// armAfterCheckpoint, when nonzero, holds the panic injector back until
+	// the first incarnation has completed this checkpoint; panicAfter then
+	// counts elements from that point on.
+	armAfterCheckpoint int64
 	// wantRestart requires at least one supervised restart (crash/panic
 	// scenarios); scenarios that must survive in-place set it false.
 	wantRestart bool
+}
+
+// armedRelay hands elements to the panic-injecting wrapper only once armed
+// is set; before that they go straight to the relay.
+type armedRelay struct {
+	core.Operator // the injector-wrapped relay
+	relay         core.Operator
+	armed         *atomic.Bool
+}
+
+func (a armedRelay) ProcessElement(e core.Event, ctx core.Context) error {
+	if a.armed.Load() {
+		return a.Operator.ProcessElement(e, ctx)
+	}
+	return a.relay.ProcessElement(e, ctx)
 }
 
 // configMutator builds the Config hook for the scenario's checkpoint mode.
@@ -155,6 +176,7 @@ func (sc matrixScenario) configMutator(t *testing.T) func(*core.Config) {
 	var seq atomic.Int64
 	return func(c *core.Config) {
 		c.DeltaCheckpoints = sc.delta
+		c.FullSnapshotEvery = sc.fullEvery
 		if sc.lsmNative {
 			c.LSMNativeSnapshots = true
 			c.BackendFactory = func(node string, instance int) (state.Backend, error) {
@@ -173,15 +195,34 @@ func (sc matrixScenario) run(t *testing.T, ctx context.Context, events []core.Ev
 	}
 	store := Wrap(inner, sc.plan).Arm(sc.crash, sc.crashAt)
 	var inj *PanicInjector
+	var wrapRelay func(core.OperatorFactory) core.OperatorFactory
+	var armed atomic.Bool
 	if sc.panicAfter > 0 {
 		inj = NewPanicInjector(sc.panicAfter)
+		armed.Store(sc.armAfterCheckpoint == 0)
+		wrapRelay = func(fac core.OperatorFactory) core.OperatorFactory {
+			return func() core.Operator {
+				relay := fac()
+				injected := inj.Wrap(func() core.Operator { return relay })()
+				return armedRelay{Operator: injected, relay: relay, armed: &armed}
+			}
+		}
 	}
 	var lastJob *core.Job
 	onStart := func(attempt int, job *core.Job) {
 		lastJob = job
 		store.SetKill(func() { job.Fail(ErrInjectedCrash) })
+		if attempt == 0 && sc.armAfterCheckpoint > 0 {
+			go func() {
+				select {
+				case <-job.WhenCheckpoint(sc.armAfterCheckpoint):
+					armed.Store(true)
+				case <-ctx.Done():
+				}
+			}()
+		}
 	}
-	out, rep, err := ha.RunSupervised(ctx, pipelineFactory(events, inj, sc.configMutator(t)), store,
+	out, rep, err := ha.RunSupervised(ctx, pipelineFactory(events, wrapRelay, sc.configMutator(t)), store,
 		ha.RestartStrategy{MaxRestarts: 4, Delay: 2 * time.Millisecond}, onStart)
 	if err != nil {
 		t.Fatalf("supervised run failed (report %+v): %v", rep, err)
@@ -248,8 +289,11 @@ func TestCrashMatrix(t *testing.T) {
 		{name: "crash-mid-delta-save", delta: true, crash: CrashMidDeltaSave, crashAt: 2, wantRestart: true},
 		// A panic forces a restore whose Latest is a delta; the restart is
 		// then killed while loading an *ancestor* of the chain, forcing a
-		// second chain resolution.
-		{name: "crash-mid-chain-restore", delta: true, crash: CrashMidChainRestore, crashAt: 1, panicAfter: 600, wantRestart: true},
+		// second chain resolution. Latest is a delta by construction, not by
+		// timing: only checkpoint 1 is full, and the panic is held back until
+		// checkpoint 3 (a delta on 2 on 1) has completed.
+		{name: "crash-mid-chain-restore", delta: true, fullEvery: 1000, crash: CrashMidChainRestore, crashAt: 1,
+			armAfterCheckpoint: 3, panicAfter: 1, wantRestart: true},
 		// Intermittent torn writes against a checkpoint chain: aborted delta
 		// checkpoints must not corrupt later links or the restore path.
 		{name: "delta-torn-save-intermittent", delta: true, plan: FaultPlan{FailSaveEvery: 7, TornSave: true}},

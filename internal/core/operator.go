@@ -73,19 +73,23 @@ type BatchContext interface {
 }
 
 // BatchOperator is an optional Operator extension: the runtime delivers each
-// record batch to an operator implementing it as a single ProcessBatch call on
-// the batch's columnar view; every other operator gets one ProcessElement call
-// per record.
+// record batch to an operator implementing it as a single ProcessBatch call;
+// every other operator gets one ProcessElement call per record.
+//
+// batch is the pooled exchange batch itself, in arrival order. The operator
+// owns it for the duration of the call and may compact it in place, but must
+// not retain it or any sub-slice or element pointer of it: the runtime
+// recycles it when the call returns (streamvet's poolretain analyzer enforces
+// this). Copy what must outlive the call.
 //
 // Batch boundaries depend on scheduling (a batch ships when full, before a
 // control message, or when its sender runs out of input), so ProcessBatch must
 // be equivalent to calling ProcessElement on each record in order — same
 // state contents, same timer registrations, same emissions in the same order,
-// bit for bit — whatever the batch holds. cols and all of its slices are
-// pooled and only valid for the duration of the call.
+// bit for bit — whatever the batch holds.
 type BatchOperator interface {
 	Operator
-	ProcessBatch(cols *Columns, ctx BatchContext) error
+	ProcessBatch(batch []Event, ctx BatchContext) error
 }
 
 // Snapshotter is an optional Operator extension for operators that carry
@@ -135,24 +139,24 @@ func (m *mapOperator) ProcessElement(e Event, ctx Context) error { return m.fn(e
 // key scoping, eliding the per-record dispatch and key-hash overhead that
 // dominates stateless map/filter/flatMap nodes. Pure transforms (Map/Filter)
 // additionally batch their output, amortizing the downstream routing too.
-func (m *mapOperator) ProcessBatch(cols *Columns, ctx BatchContext) error {
+func (m *mapOperator) ProcessBatch(batch []Event, ctx BatchContext) error {
 	if m.xform != nil {
 		// Transform in place: the batch is owned by this instance until the
 		// runtime recycles it after ProcessBatch returns, so compacting the
 		// outputs into its prefix avoids a scratch buffer and a second copy.
 		// EmitBatch copies the events onward before returning.
-		out := cols.Events[:0]
-		for i := range cols.Events {
-			if e, ok := m.xform(cols.Events[i]); ok {
+		out := batch[:0]
+		for i := range batch {
+			if e, ok := m.xform(batch[i]); ok {
 				out = append(out, e)
 			}
 		}
 		ctx.EmitBatch(out)
 		return nil
 	}
-	for i := range cols.Events {
-		ctx.SetKey(cols.Events[i].Key)
-		if err := m.fn(cols.Events[i], ctx); err != nil {
+	for i := range batch {
+		ctx.SetKey(batch[i].Key)
+		if err := m.fn(batch[i], ctx); err != nil {
 			return err
 		}
 	}
@@ -176,9 +180,9 @@ type sinkOperator struct {
 func (s *sinkOperator) ProcessElement(e Event, _ Context) error { return s.fn(e.Clone()) }
 
 // ProcessBatch implements BatchOperator.
-func (s *sinkOperator) ProcessBatch(cols *Columns, _ BatchContext) error {
-	for i := range cols.Events {
-		if err := s.fn(cols.Events[i].Clone()); err != nil {
+func (s *sinkOperator) ProcessBatch(batch []Event, _ BatchContext) error {
+	for i := range batch {
+		if err := s.fn(batch[i].Clone()); err != nil {
 			return err
 		}
 	}

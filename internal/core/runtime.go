@@ -511,7 +511,7 @@ func (in *instance) handle(ctx context.Context, octx *opContext, m message) (boo
 }
 
 // processBatch runs one record batch through the operator — one ProcessBatch
-// call on the batch's columnar view when the operator is a BatchOperator, one
+// call on the batch itself when the operator is a BatchOperator, one
 // ProcessElement per record otherwise — then recycles the batch slice.
 func (in *instance) processBatch(octx *opContext, b *[]Event) error {
 	n := int64(len(*b))
@@ -524,9 +524,7 @@ func (in *instance) processBatch(octx *opContext, b *[]Event) error {
 	}
 	var err error
 	if bo, ok := in.op.(BatchOperator); ok {
-		cols := buildColumns(b)
-		err = bo.ProcessBatch(cols, octx)
-		releaseColumns(cols)
+		err = bo.ProcessBatch(*b, octx)
 	} else {
 		for _, e := range *b {
 			octx.currentKey = e.Key

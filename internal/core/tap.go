@@ -44,11 +44,11 @@ func (o *tapOperator) ProcessElement(e Event, ctx Context) error {
 
 // ProcessBatch implements BatchOperator: per-record observation order is
 // preserved, the pass-through emission is amortised over the batch.
-func (o *tapOperator) ProcessBatch(cols *Columns, ctx BatchContext) error {
-	for i := range cols.Events {
-		o.tap.OnRecord(cols.Events[i])
+func (o *tapOperator) ProcessBatch(batch []Event, ctx BatchContext) error {
+	for i := range batch {
+		o.tap.OnRecord(batch[i])
 	}
-	ctx.EmitBatch(cols.Events)
+	ctx.EmitBatch(batch)
 	return nil
 }
 

@@ -50,8 +50,8 @@ func (o *cqlOperator) ProcessElement(e core.Event, ctx core.Context) error {
 // ProcessBatch implements core.BatchOperator: the batch goes through the
 // executor in one PushBatch, in arrival order, so output deltas are identical
 // to the per-record path.
-func (o *cqlOperator) ProcessBatch(cols *core.Columns, ctx core.BatchContext) error {
-	return o.push(ctx, cols.Events...)
+func (o *cqlOperator) ProcessBatch(batch []core.Event, ctx core.BatchContext) error {
+	return o.push(ctx, batch...)
 }
 
 func (o *cqlOperator) push(ctx core.Context, events ...core.Event) error {

@@ -2,10 +2,7 @@ package load
 
 import (
 	"math"
-	"sync"
 	"testing"
-
-	"repro/internal/metrics"
 )
 
 func TestRandomShedderApproximatesFraction(t *testing.T) {
@@ -62,179 +59,6 @@ func TestRateEstimatorConverges(t *testing.T) {
 	}
 	if r := e.Rate(); r < 99 || r > 101 {
 		t.Fatalf("EWMA did not converge: %v", r)
-	}
-}
-
-func TestCreditControllerBlocksAndGrants(t *testing.T) {
-	c := NewCreditController(2)
-	if !c.TryAcquire() || !c.TryAcquire() {
-		t.Fatal("initial credits unavailable")
-	}
-	if c.TryAcquire() {
-		t.Fatal("acquired beyond budget")
-	}
-	done := make(chan bool)
-	go func() { done <- c.Acquire() }()
-	// Wait for the acquirer to actually block (WaitCount is bumped before the
-	// goroutine parks), then grant a credit.
-	for c.WaitCount() == 0 {
-	}
-	c.Grant()
-	if !<-done {
-		t.Fatal("blocked acquire failed after grant")
-	}
-	if c.WaitCount() != 1 {
-		t.Fatalf("wait count: want 1, got %d", c.WaitCount())
-	}
-}
-
-func TestCreditControllerInstrument(t *testing.T) {
-	c := NewCreditController(3)
-	r := metrics.NewRegistry()
-	c.Instrument(r, "net.edge0")
-	c.TryAcquire()
-	vals := map[string]int64{}
-	r.Each(metrics.Visitor{Gauge: func(name string, v int64) { vals[name] = v }})
-	if vals["net.edge0.credits"] != 2 {
-		t.Fatalf("credits gauge: want 2, got %d", vals["net.edge0.credits"])
-	}
-	if vals["net.edge0.wait_count"] != 0 {
-		t.Fatalf("wait_count gauge: want 0, got %d", vals["net.edge0.wait_count"])
-	}
-}
-
-func TestCreditControllerCloseReleasesWaiters(t *testing.T) {
-	c := NewCreditController(0)
-	var wg sync.WaitGroup
-	results := make([]bool, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = c.Acquire()
-		}(i)
-	}
-	c.Close()
-	wg.Wait()
-	for i, r := range results {
-		if r {
-			t.Fatalf("waiter %d acquired after close", i)
-		}
-	}
-}
-
-func TestCreditControllerGrantCapped(t *testing.T) {
-	c := NewCreditController(1)
-	c.Grant()
-	c.Grant()
-	if c.Available() != 1 {
-		t.Fatalf("credits exceeded max: %d", c.Available())
-	}
-}
-
-func TestCreditControllerAcquireNImmediate(t *testing.T) {
-	c := NewCreditController(4)
-	if !c.AcquireN(3) {
-		t.Fatal("AcquireN(3) failed with 4 credits available")
-	}
-	if c.Available() != 1 {
-		t.Fatalf("credits after AcquireN(3): want 1, got %d", c.Available())
-	}
-	if !c.AcquireN(0) {
-		t.Fatal("AcquireN(0) must always succeed")
-	}
-	if c.Available() != 1 {
-		t.Fatalf("AcquireN(0) consumed credits: %d", c.Available())
-	}
-}
-
-func TestCreditControllerAcquireNBlocksUntilGrantN(t *testing.T) {
-	c := NewCreditController(4)
-	if !c.AcquireN(4) {
-		t.Fatal("initial AcquireN(4) failed")
-	}
-	done := make(chan bool)
-	go func() { done <- c.AcquireN(3) }()
-	for c.WaitCount() == 0 {
-	}
-	// A partial refill must not wake the waiter into success: it needs 3.
-	c.GrantN(2)
-	select {
-	case <-done:
-		t.Fatal("AcquireN(3) returned after only 2 credits granted")
-	default:
-	}
-	c.GrantN(2)
-	if !<-done {
-		t.Fatal("blocked AcquireN failed after full grant")
-	}
-	if c.Available() != 1 {
-		t.Fatalf("credits after refill and batch acquire: want 1, got %d", c.Available())
-	}
-}
-
-func TestCreditControllerAcquireNBeyondBudget(t *testing.T) {
-	c := NewCreditController(2)
-	if c.AcquireN(3) {
-		t.Fatal("AcquireN beyond total budget must fail, not deadlock")
-	}
-	if c.Available() != 2 {
-		t.Fatalf("failed AcquireN consumed credits: %d", c.Available())
-	}
-}
-
-func TestCreditControllerCloseReleasesAcquireN(t *testing.T) {
-	c := NewCreditController(1)
-	done := make(chan bool)
-	go func() { done <- c.AcquireN(1) }()
-	go func() { done <- c.AcquireN(1) }()
-	// Two waiters race for one credit; one blocks. Close must release it.
-	for c.WaitCount() == 0 {
-	}
-	c.Close()
-	a, b := <-done, <-done
-	if a && b {
-		t.Fatal("both AcquireN calls succeeded with one credit")
-	}
-}
-
-func TestCreditControllerGrantNCapped(t *testing.T) {
-	c := NewCreditController(3)
-	if !c.AcquireN(2) {
-		t.Fatal("AcquireN(2) failed")
-	}
-	c.GrantN(10)
-	if c.Available() != 3 {
-		t.Fatalf("GrantN exceeded max: %d", c.Available())
-	}
-	c.GrantN(0)
-	c.GrantN(-1)
-	if c.Available() != 3 {
-		t.Fatalf("no-op GrantN changed credits: %d", c.Available())
-	}
-}
-
-func TestCreditControllerMixedWaitersAllWake(t *testing.T) {
-	c := NewCreditController(4)
-	if !c.AcquireN(4) {
-		t.Fatal("initial AcquireN(4) failed")
-	}
-	var wg sync.WaitGroup
-	results := make([]bool, 3)
-	wg.Add(3)
-	go func() { defer wg.Done(); results[0] = c.Acquire() }()
-	go func() { defer wg.Done(); results[1] = c.Acquire() }()
-	go func() { defer wg.Done(); results[2] = c.AcquireN(2) }()
-	for c.WaitCount() < 3 {
-	}
-	// Refill exactly the total demand in one shot; Broadcast-based wakeup must
-	// not strand any waiter regardless of which one the runtime resumes first.
-	c.GrantN(4)
-	wg.Wait()
-	for i, r := range results {
-		if !r {
-			t.Fatalf("waiter %d starved after full refill", i)
-		}
 	}
 }
 

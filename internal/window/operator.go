@@ -20,13 +20,14 @@ type Aggregate struct {
 	Merge func(a, b any) any
 	// Emit produces the result event for a closed (or late-updated) window.
 	Emit func(key string, w Window, acc any) core.Event
-	// AddBatch, when non-nil, folds a same-key, same-window segment of a
-	// columnar batch (indices [start, end) of cols) into the accumulator in
-	// one call — the whole-batch path's fold. Where a batch is cut depends on
-	// scheduling, so the result must be bit-identical to folding the segment
-	// element by element with Add; re-associating a float sum, as an unrolled
-	// kernel does, would make output depend on scheduling.
-	AddBatch func(acc any, cols *core.Columns, start, end int) any
+	// AddBatch, when non-nil, folds a same-key, same-window segment of an
+	// exchange batch into the accumulator in one call — the whole-batch
+	// path's fold. seg is only valid for the duration of the call. Where a
+	// batch is cut depends on scheduling, so the result must be bit-identical
+	// to folding the segment element by element with Add; re-associating a
+	// float sum, as an unrolled kernel does, would make output depend on
+	// scheduling.
+	AddBatch func(acc any, seg []core.Event) any
 }
 
 // FloatAggregate builds an Aggregate over float64 values using an AggFn and
@@ -40,41 +41,14 @@ func FloatAggregate(fn AggFn, get func(core.Event) float64) Aggregate {
 		Emit: func(key string, w Window, acc any) core.Event {
 			return core.Event{Key: key, Timestamp: w.End - 1, Value: acc}
 		},
-		AddBatch: func(acc any, cols *core.Columns, start, end int) any {
+		AddBatch: func(acc any, seg []core.Event) any {
 			a := acc.(float64)
-			for i := start; i < end; i++ {
-				a = fn.Combine(a, get(cols.Events[i]))
+			for i := range seg {
+				a = fn.Combine(a, get(seg[i]))
 			}
 			return a
 		},
 	}
-}
-
-// ValueAggregate is FloatAggregate for streams whose Value already is the
-// float64 being aggregated. For the built-in Sum, Min and Max its batch path
-// folds the columnar dense value column with a monomorphic loop — no
-// per-element extractor or Combine calls — that is bit-identical to Add.
-func ValueAggregate(fn AggFn) Aggregate {
-	agg := FloatAggregate(fn, func(e core.Event) float64 { return e.Value.(float64) })
-	var fold func(acc float64, vals []float64) float64
-	switch fn.Name {
-	case "sum":
-		fold = sumFold
-	case "min":
-		fold = minKernel
-	case "max":
-		fold = maxKernel
-	default:
-		return agg
-	}
-	perElement := agg.AddBatch
-	agg.AddBatch = func(acc any, cols *core.Columns, start, end int) any {
-		if vals := cols.Vals(); vals != nil {
-			return fold(acc.(float64), vals[start:end])
-		}
-		return perElement(acc, cols, start, end)
-	}
-	return agg
 }
 
 // CountAggregate counts elements per window.
@@ -86,8 +60,8 @@ func CountAggregate() Aggregate {
 		Emit: func(key string, w Window, acc any) core.Event {
 			return core.Event{Key: key, Timestamp: w.End - 1, Value: acc}
 		},
-		AddBatch: func(acc any, _ *core.Columns, start, end int) any {
-			return acc.(int64) + int64(end-start)
+		AddBatch: func(acc any, seg []core.Event) any {
+			return acc.(int64) + int64(len(seg))
 		},
 	}
 }
@@ -229,24 +203,24 @@ func (o *operator) ProcessElement(e core.Event, ctx core.Context) error {
 // scoping, state lookups, timer registration and the aggregate fold are paid
 // once per segment instead of once per record. Emission order, state
 // contents and timer sets are identical to the per-record path.
-func (o *operator) ProcessBatch(cols *core.Columns, ctx core.BatchContext) error {
-	n := len(cols.Events)
+func (o *operator) ProcessBatch(batch []core.Event, ctx core.BatchContext) error {
+	n := len(batch)
 	fast := o.point != nil && o.agg.AddBatch != nil && !o.assigner.IsSession()
 	for i := 0; i < n; {
-		key := cols.Events[i].Key
+		key := batch[i].Key
 		j := i + 1
-		for j < n && cols.Events[j].Key == key {
+		for j < n && batch[j].Key == key {
 			j++
 		}
 		ctx.SetKey(key)
 		ctx.State() // re-scope the backend for the cached o.st handle
 		if fast {
-			if err := o.addRun(cols, i, j, ctx); err != nil {
+			if err := o.addRun(batch[i:j], ctx); err != nil {
 				return err
 			}
 		} else {
 			for r := i; r < j; r++ {
-				if err := o.ProcessElement(cols.Events[r], ctx); err != nil {
+				if err := o.ProcessElement(batch[r], ctx); err != nil {
 					return err
 				}
 			}
@@ -256,16 +230,16 @@ func (o *operator) ProcessBatch(cols *core.Columns, ctx core.BatchContext) error
 	return nil
 }
 
-// addRun folds one same-key run [lo, hi) of the batch into its windows,
-// segment by segment, where a segment is a maximal stretch of consecutive
-// records the point assigner maps to the same window.
-func (o *operator) addRun(cols *core.Columns, lo, hi int, ctx core.BatchContext) error {
+// addRun folds one same-key run of the batch into its windows, segment by
+// segment, where a segment is a maximal stretch of consecutive records the
+// point assigner maps to the same window.
+func (o *operator) addRun(run []core.Event, ctx core.BatchContext) error {
 	wm := ctx.CurrentWatermark()
 	st := o.state(ctx)
-	for s := lo; s < hi; {
-		w := o.point.AssignPoint(cols.Events[s].Timestamp)
+	for s := 0; s < len(run); {
+		w := o.point.AssignPoint(run[s].Timestamp)
 		e := s + 1
-		for e < hi && o.point.AssignPoint(cols.Events[e].Timestamp) == w {
+		for e < len(run) && o.point.AssignPoint(run[e].Timestamp) == w {
 			e++
 		}
 		global := w.End == maxInt64
@@ -280,7 +254,7 @@ func (o *operator) addRun(cols *core.Columns, lo, hi int, ctx core.BatchContext)
 			// result after every element; replay these one by one so the
 			// emission stream stays identical.
 			for r := s; r < e; r++ {
-				if err := o.addToWindow(w, cols.Events[r], ctx, wm); err != nil {
+				if err := o.addToWindow(w, run[r], ctx, wm); err != nil {
 					return err
 				}
 			}
@@ -294,7 +268,7 @@ func (o *operator) addRun(cols *core.Columns, lo, hi int, ctx core.BatchContext)
 					ctx.RegisterEventTimeTimer(w.End + o.lateness)
 				}
 			}
-			st.Put(k, o.agg.AddBatch(acc, cols, s, e))
+			st.Put(k, o.agg.AddBatch(acc, run[s:e]))
 		}
 		s = e
 	}

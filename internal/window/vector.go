@@ -153,16 +153,6 @@ func sumKernel(seg []float64) float64 {
 	return acc
 }
 
-// sumFold adds seg to acc in order: bit-identical to folding with
-// Sum.Combine, unlike sumKernel, whose independent accumulators re-associate
-// the additions.
-func sumFold(acc float64, seg []float64) float64 {
-	for _, v := range seg {
-		acc += v
-	}
-	return acc
-}
-
 // minKernel folds seg into acc exactly as repeated Min.Combine(acc, v) would
 // — ties and NaNs included — so it is bit-identical to the per-element fold
 // wherever a segment starts or ends.

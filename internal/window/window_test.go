@@ -482,7 +482,7 @@ func runBatchWindowJob(t *testing.T, events []core.Event, assigner Assigner, agg
 // through the per-record adapter and through ProcessBatch at batch capacities
 // 1 and 64, and requires the same output in the same order, bit for bit:
 // covering the whole-batch fold (tumbling sums over non-integral values,
-// which an unrolled kernel would re-associate, and counts), the per-element
+// which an unrolled kernel would re-associate, min, max and counts), the per-element
 // fallback (sessions, sliding windows) and the late-but-allowed re-emit
 // replay.
 func TestColumnarWindowMatchesPerRecord(t *testing.T) {
@@ -490,7 +490,7 @@ func TestColumnarWindowMatchesPerRecord(t *testing.T) {
 	var events []core.Event
 	for i := 0; i < 1200; i++ {
 		// Key runs of 16 records, so same-key, same-window segments are long
-		// enough for an unrolled kernel to engage.
+		// enough that a re-associating fold would change the result.
 		events = append(events, core.Event{
 			Key:       fmt.Sprintf("k%d", (i/16)%7),
 			Timestamp: int64(i),
@@ -501,15 +501,16 @@ func TestColumnarWindowMatchesPerRecord(t *testing.T) {
 	for k := 0; k < 7; k++ {
 		events = append(events, core.Event{Key: fmt.Sprintf("k%d", k), Timestamp: 5, Value: 0.1})
 	}
+	value := func(e core.Event) float64 { return e.Value.(float64) }
 	cases := []struct {
 		name     string
 		assigner Assigner
 		agg      Aggregate
 		opts     []Option
 	}{
-		{"tumbling-sum", NewTumbling(100), FloatAggregate(Sum, func(e core.Event) float64 { return e.Value.(float64) }), nil},
-		{"tumbling-value-sum", NewTumbling(100), ValueAggregate(Sum), nil},
-		{"tumbling-value-min", NewTumbling(100), ValueAggregate(Min), nil},
+		{"tumbling-sum", NewTumbling(100), FloatAggregate(Sum, value), nil},
+		{"tumbling-value-min", NewTumbling(100), FloatAggregate(Min, value), nil},
+		{"tumbling-value-max", NewTumbling(100), FloatAggregate(Max, value), nil},
 		{"tumbling-count-lateness", NewTumbling(100), CountAggregate(), []Option{WithAllowedLateness(1_000_000)}},
 		{"sliding-count", NewSliding(100, 50), CountAggregate(), nil},
 		{"session-count", NewSession(40), CountAggregate(), nil},
