@@ -55,7 +55,7 @@ var timeline = []struct {
 			"model serving & training ...... internal/ml (online SGD, versioned registry, hot swap)",
 			"streaming graphs .............. internal/graphstream (incremental CC / SSSP, random walks)",
 			"loops & cycles ................ internal/iterate (async feedback, BSP supersteps)",
-			"queryable state ............... internal/queryable + internal/serve (get/keys over TCP, snapshot isolation)",
+			"queryable state ............... internal/queryable + internal/serve (per-instance shards, get/keys over TCP)",
 			"state versioning .............. internal/state (SchemaRegistry, VersionedValue)",
 			"hardware acceleration ......... internal/window (vectorized kernels, E10)",
 		},
@@ -78,7 +78,7 @@ var table1 = []struct {
 	{"Elasticity & Reconfiguration", true, true, false, "core.RescaleCheckpoint + load.ScalingPolicy (DS2-style)"},
 	{"Dynamic Topologies", true, true, false, "statefun: addresses spawn on first message (virtual actors)"},
 	{"Shared Mutable State", false, true, true, "txn.Store shared across operators; ml.Registry; graphstream"},
-	{"Queryable State", true, true, false, "queryable.Service snapshots, read by serve.Server's get/keys over TCP"},
+	{"Queryable State", true, true, false, "queryable.PublishOperator's per-instance shards, read by serve.Server's get/keys over TCP"},
 	{"State Versioning", true, true, false, "state.SchemaRegistry + VersionedValue; ml.Registry versions"},
 	{"Hardware Acceleration", false, false, false, "window.BatchTumbling vectorized kernels (CPU stand-in, E10)"},
 }

@@ -237,25 +237,32 @@ func TestFraudPipelineEndToEnd(t *testing.T) {
 }
 
 // TestQueryableStateAcrossRescale publishes pipeline state, rescales the
-// operator via a savepoint, resumes, and verifies the queryable counts end
-// up exactly right — state migration + queryable state composed.
+// publishing operator through savepoints, 1 -> 3 -> 2 instances, and checks
+// after every incarnation that every key is served, ending with exactly the
+// reference count per key — state migration + queryable state composed.
 func TestQueryableStateAcrossRescale(t *testing.T) {
-	const events = 2_000
+	const events, keys = 2_000, 13
 	evs := make([]core.Event, events)
+	want := map[string]int64{}
 	for i := range evs {
-		evs[i] = core.Event{Key: fmt.Sprintf("k%d", i%13), Timestamp: int64(i), Value: int64(1)}
+		k := fmt.Sprintf("k%d", i%keys)
+		evs[i] = core.Event{Key: k, Timestamp: int64(i), Value: int64(1)}
+		want[k]++
 	}
 	store := core.NewMemorySnapshotStore()
 	svc := queryable.NewService()
 
 	build := func(par int, stopAt int, jobRef **core.Job) *core.Job {
 		b := core.NewBuilder(core.Config{Name: "qrescale", SnapshotStore: store,
-			ChannelCapacity: 4, WatermarkInterval: 16})
-		s := b.Source("src", core.NewSliceSourceFactory(evs), core.WithBoundedDisorder(0))
+			ChannelCapacity: 4, WatermarkInterval: 16, DefaultParallelism: par})
+		s := b.Source("src", core.NewSliceSourceFactory(evs), core.WithParallelism(1), core.WithBoundedDisorder(0))
 		if stopAt > 0 {
-			s = s.Process("mid", savepointTrigger(stopAt, jobRef))
+			s = s.ProcessWith("mid", savepointTrigger(stopAt, jobRef), 1)
 		} else {
-			s = s.Map("mid", func(e core.Event) (core.Event, bool) { return e, true })
+			s = s.ProcessWith("mid", core.MapFunc(func(e core.Event, ctx core.Context) error {
+				ctx.Emit(e)
+				return nil
+			}), 1)
 		}
 		keyed := s.KeyBy(func(e core.Event) string { return e.Key })
 		str := queryable.PublishOperator(keyed, "count", svc, "counts", "n",
@@ -267,7 +274,6 @@ func TestQueryableStateAcrossRescale(t *testing.T) {
 				}
 				st.Set(cur + 1)
 			})
-		_ = par
 		str.Sink("out", core.NewCollectSink().Factory())
 		j, err := b.Build()
 		if err != nil {
@@ -275,25 +281,56 @@ func TestQueryableStateAcrossRescale(t *testing.T) {
 		}
 		return j
 	}
+	// served checks that every key is served and returns the served total.
+	served := func(stage string) int64 {
+		t.Helper()
+		got := svc.Keys("counts")
+		if len(got) != keys {
+			t.Fatalf("%s: %d of %d keys served: %v", stage, len(got), keys, got)
+		}
+		total := int64(0)
+		for _, k := range got {
+			v, ok := svc.Get("counts", k)
+			if !ok {
+				t.Fatalf("%s: key %s listed but not found", stage, k)
+			}
+			total += v.(int64)
+		}
+		return total
+	}
+	rescale := func(j *core.Job, par int) int64 {
+		t.Helper()
+		cp := j.LastCheckpoint()
+		if cp < 0 || !j.SavepointStopped() {
+			t.Fatalf("no savepoint stop (checkpoint %d)", cp)
+		}
+		if _, err := core.RescaleCheckpoint(store, cp, cp+100, "count", par, state.DefaultKeyGroups); err != nil {
+			t.Fatal(err)
+		}
+		return cp + 100
+	}
 
 	var j1 *core.Job
 	j1 = build(1, 800, &j1)
 	runWithTimeout(t, j1)
-	cp := j1.LastCheckpoint()
-	if cp < 0 {
-		t.Fatal("no savepoint")
-	}
-	j2 := build(1, 0, nil)
-	j2.RestoreFrom(cp)
+	after1 := served("par 1")
+	var j2 *core.Job
+	j2 = build(3, 600, &j2)
+	j2.RestoreFrom(rescale(j1, 3))
 	runWithTimeout(t, j2)
+	after2 := served("par 3")
+	j3 := build(2, 0, nil)
+	j3.RestoreFrom(rescale(j2, 2))
+	runWithTimeout(t, j3)
+	served("par 2")
 
-	total := int64(0)
-	for _, k := range svc.Keys("counts") {
-		v, _ := svc.Get("counts", k)
-		total += v.(int64)
+	if after1 < 800 || after2 < after1+600 || after2 >= events {
+		t.Fatalf("served totals at the savepoints: %d then %d of %d", after1, after2, events)
 	}
-	if total != events {
-		t.Fatalf("queryable counts after restore: want %d, got %d", events, total)
+	for k, n := range want {
+		if v, ok := svc.Get("counts", k); !ok || v.(int64) != n {
+			t.Fatalf("queryable count of %s after 1 -> 3 -> 2: %v %v, want %d", k, v, ok, n)
+		}
 	}
 }
 

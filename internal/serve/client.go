@@ -88,12 +88,16 @@ func (c *Client) Close() error {
 
 func (c *Client) readLoop() {
 	r := bufio.NewReader(c.conn)
+	var dec frameDecoder
 	var readErr error
 	var body []byte
 	for {
-		var f Frame
+		f := new(Frame)
 		var err error
-		if body, err = readFrameBuf(r, body, &f); err != nil {
+		if body, err = readBody(r, body); err == nil {
+			err = dec.decode(body, f)
+		}
+		if err != nil {
 			readErr = err
 			break
 		}
@@ -103,7 +107,7 @@ func (c *Client) readLoop() {
 			delete(c.pending, f.Seq)
 			c.mu.Unlock()
 			if ch != nil {
-				ch <- &f
+				ch <- f
 			}
 			continue
 		}
@@ -123,7 +127,7 @@ func (c *Client) readLoop() {
 			}
 			continue // frame for an already-dropped subscription
 		}
-		sub.deliver(&f)
+		sub.deliver(f)
 		if terminal {
 			sub.shut()
 		}

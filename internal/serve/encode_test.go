@@ -10,10 +10,11 @@ import (
 	"repro/internal/cql"
 )
 
-// The append-style encoder is a second implementation of a wire format whose
-// definition is json.Marshal(&Frame{...}): it must agree byte for byte, and
-// step aside for what it does not handle.
-func TestAppendDeltaEqualsMarshal(t *testing.T) {
+// genDeltas calls each with n generated deltas, their subscription ids and
+// kinds: strings that need escaping or replacing, floats JSON writes in
+// either notation or cannot carry, integers beyond float64's exact range,
+// and cell types the append-style encoder leaves to encoding/json.
+func genDeltas(n int, each func(d cql.Delta, id, kind string)) {
 	strs := []string{"", "k1", "a\"b\\c", "<script>&amp;</script>", "tab\there\nnl\r\b\f\x00\x1f\x7f",
 		"héllo wörld", "日本語", "\u2028\u2029", "bad\xffutf8\xc3", "\xed\xa0\x80", "emoji 🙂", "a;k=i:1"}
 	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1.5, 123456789, 1e20, 1e21, 1.2345e21, 1e-6, 9.99e-7, 1e-7,
@@ -41,7 +42,7 @@ func TestAppendDeltaEqualsMarshal(t *testing.T) {
 		// Types the encoder leaves to encoding/json.
 		return []any{int(3), []string{"x"}, map[string]any{"n": 1.5}, float32(2.5), uint8(7)}[rng.Intn(5)]
 	}
-	for i := 0; i < 20000; i++ {
+	for i := 0; i < n; i++ {
 		d := cql.Delta{Ts: []int64{0, 1, -5, 1 << 40, int64(i)}[rng.Intn(5)], Kind: cql.OutputKind(rng.Intn(2))}
 		seen := map[string]bool{}
 		for n := rng.Intn(5); n > 0; n-- {
@@ -59,6 +60,15 @@ func TestAppendDeltaEqualsMarshal(t *testing.T) {
 		if d.Kind == cql.Delete {
 			kind = "delete"
 		}
+		each(d, id, kind)
+	}
+}
+
+// The append-style encoder is a second implementation of a wire format whose
+// definition is json.Marshal(&Frame{...}): it must agree byte for byte, and
+// step aside for what it does not handle.
+func TestAppendDeltaEqualsMarshal(t *testing.T) {
+	genDeltas(20000, func(d cql.Delta, id, kind string) {
 		prefix := []byte("earlier frames")
 		want, wantErr := appendFrame(prefix, &Frame{Op: "delta", ID: id, Kind: kind, Ts: d.Ts, Row: d.Row()})
 		got, gotErr := appendDelta(prefix, id, d)
@@ -68,21 +78,19 @@ func TestAppendDeltaEqualsMarshal(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("delta %+v:\n append  %q\n marshal %q", d, got, want)
 		}
-	}
+	})
 }
 
-// FuzzReadFrame feeds arbitrary bytes to the frame reader on both sides of
-// the protocol: a length prefix beyond maxFrame, a zero-length or truncated
-// body and wrong JSON types are errors, never a panic or an allocation the
-// prefix alone asked for; what does decode, re-encodes and decodes again to
-// the same frame.
-func FuzzReadFrame(f *testing.F) {
-	frame := func(v any) []byte {
+// seedFrames is one length-prefixed frame of every request op and every
+// kind of server frame.
+func seedFrames(tb testing.TB) [][]byte {
+	var out [][]byte
+	frame := func(v any) {
 		b, err := appendFrame(nil, v)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
-		return b
+		out = append(out, b)
 	}
 	for _, req := range []*Request{
 		{Seq: 1, Op: "subscribe", ID: "q", Query: "ISTREAM (SELECT k, v FROM s [NOW])", Buffer: 8, Policy: "disconnect"},
@@ -93,7 +101,7 @@ func FuzzReadFrame(f *testing.F) {
 		{Seq: 6, Op: "describe"},
 		{Seq: 7, Op: "ping"},
 	} {
-		f.Add(frame(req))
+		frame(req)
 	}
 	for _, fr := range []*Frame{
 		{Seq: 1, Op: "subscribe", ID: "q"},
@@ -105,7 +113,19 @@ func FuzzReadFrame(f *testing.F) {
 		{Op: "eos", ID: "q", Shed: 4},
 		{Seq: 9, Op: "error", ID: "q", Code: CodeSyntax, Err: "cql: parse error"},
 	} {
-		f.Add(frame(fr))
+		frame(fr)
+	}
+	return out
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame reader on both sides of
+// the protocol: a length prefix beyond maxFrame, a zero-length or truncated
+// body and wrong JSON types are errors, never a panic or an allocation the
+// prefix alone asked for; what does decode, re-encodes and decodes again to
+// the same frame.
+func FuzzReadFrame(f *testing.F) {
+	for _, b := range seedFrames(f) {
+		f.Add(b)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})                                         // truncated prefix

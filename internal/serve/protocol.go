@@ -131,6 +131,18 @@ func readFrame(r io.Reader, v any) error {
 // readFrameBuf is readFrame with the body read into buf, grown as needed and
 // returned for the next call; v keeps no reference to it.
 func readFrameBuf(r io.Reader, buf []byte, v any) ([]byte, error) {
+	buf, err := readBody(r, buf)
+	if err != nil {
+		return buf, err
+	}
+	if err := json.Unmarshal(buf, v); err != nil {
+		return buf, fmt.Errorf("serve: decode frame: %w", err)
+	}
+	return buf, nil
+}
+
+// readBody reads one length-prefixed frame body into buf, grown as needed.
+func readBody(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return buf, err
@@ -143,11 +155,6 @@ func readFrameBuf(r io.Reader, buf []byte, v any) ([]byte, error) {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, err
-	}
-	if err := json.Unmarshal(buf, v); err != nil {
-		return buf, fmt.Errorf("serve: decode frame: %w", err)
-	}
-	return buf, nil
+	_, err := io.ReadFull(r, buf)
+	return buf, err
 }

@@ -254,8 +254,16 @@ func TestServeStalledSubscriberDoesNotPerturbJob(t *testing.T) {
 }
 
 // Point queries and a live subscription share one connection while the job
-// is running and publishing snapshots (run with -race).
+// is running and publishing (run with -race), with the publishing operator
+// at parallelism 1 and 2: every key is served by the instance that owns it,
+// a key's count never goes backwards, and the final counts are exact.
 func TestServePointQueryDuringLiveUpdates(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) { pointQueryDuringLiveUpdates(t, par) })
+	}
+}
+
+func pointQueryDuringLiveUpdates(t *testing.T, par int) {
 	svc := queryable.NewService()
 	srv := NewServer(Options{Service: svc})
 	tap := srv.RegisterStream("s", extractKV)
@@ -265,8 +273,8 @@ func TestServePointQueryDuringLiveUpdates(t *testing.T) {
 	defer srv.Close()
 
 	sink := core.NewCollectSink()
-	b := core.NewBuilder(core.Config{Name: "serve-qs", WatermarkInterval: 16})
-	s := b.Source("src", core.NewSliceSourceFactory(testEvents(300)), core.WithBoundedDisorder(0)).
+	b := core.NewBuilder(core.Config{Name: "serve-qs", WatermarkInterval: 16, DefaultParallelism: par})
+	s := b.Source("src", core.NewSliceSourceFactory(testEvents(300)), core.WithParallelism(1), core.WithBoundedDisorder(0)).
 		TapInto("tap", tap).
 		KeyBy(func(e core.Event) string { return e.Key })
 	queryable.PublishOperator(s, "count", svc, "counts", "n", func(e core.Event, ctx core.Context) {
@@ -308,9 +316,18 @@ func TestServePointQueryDuringLiveUpdates(t *testing.T) {
 	done := make(chan struct{})
 	go func() { defer close(done); runJob(t, job) }()
 	// Hammer point queries over the same connection while deltas stream.
+	var last [3]float64
 	for i := 0; ; i++ {
-		if _, _, err := c.Get("counts", fmt.Sprintf("k%d", i%3)); err != nil {
+		v, found, err := c.Get("counts", fmt.Sprintf("k%d", i%3))
+		if err != nil {
 			t.Fatal(err)
+		}
+		if found {
+			n := v.(float64)
+			if n < last[i%3] || n > 100 {
+				t.Fatalf("k%d read %v after %v", i%3, n, last[i%3])
+			}
+			last[i%3] = n
 		}
 		select {
 		case <-done:
@@ -325,16 +342,11 @@ func TestServePointQueryDuringLiveUpdates(t *testing.T) {
 	if len(deltas) != 300 || terminal == nil || terminal.Op != "eos" {
 		t.Fatalf("live subscription: %d deltas, terminal %+v", len(deltas), terminal)
 	}
-	total := 0.0
 	for i := 0; i < 3; i++ {
 		v, found, err := c.Get("counts", fmt.Sprintf("k%d", i))
-		if err != nil || !found {
-			t.Fatalf("final get k%d: %v %v", i, found, err)
+		if err != nil || !found || v.(float64) != 100 {
+			t.Fatalf("final get k%d: %v %v %v, want 100", i, v, found, err)
 		}
-		total += v.(float64)
-	}
-	if total != 300 {
-		t.Fatalf("final counts sum = %v, want 300", total)
 	}
 	tables, err := c.Tables()
 	if err != nil || len(tables) != 1 || tables[0] != "counts" {
