@@ -144,11 +144,12 @@ func main() {
 }
 
 // runElasticDemo drives a pipeline through a load ramp under the elastic
-// controller: a gentle phase (1 instance suffices), a burst (backpressure
+// policy: a gentle phase (1 instance suffices), a burst (backpressure
 // pushes corrected demand past one instance's true rate, the DS2 policy
 // scales out via stop-with-savepoint -> rescale -> restore), and a cool-down
-// (hysteresis then scales back in). Rescale lineage is live on /metrics
-// (elastic.*) and /jobs while it runs.
+// (hysteresis then scales back in). While it runs, /metrics carries the
+// policy's samples (elastic.*) and the rescale lineage (lineage.*), and
+// /jobs the lineage counters.
 func runElasticDemo(addr string) {
 	const n = 4500
 	events := make([]core.Event, n)
@@ -184,7 +185,7 @@ func runElasticDemo(addr string) {
 			ctx.Emit(e)
 			return nil
 		})
-		keyed := b.Source("src", elastic.NewPacedSourceFactory(events, pace),
+		keyed := b.Source("src", core.NewPacedSourceFactory(events, pace),
 			core.WithParallelism(1), core.WithBoundedDisorder(0)).
 			KeyBy(func(e core.Event) string { return e.Key }).
 			ProcessWith("work", work, par).
@@ -194,24 +195,23 @@ func runElasticDemo(addr string) {
 		return b.Build()
 	}
 
-	ctrl, err := elastic.New(elastic.Config{
-		Node:                "work",
-		Upstream:            "src",
-		UpstreamParallelism: 1,
-		Build:               build,
-		Store:               core.NewMemorySnapshotStore(),
-		Policy:              load.NewScalingPolicy(0.8, 1, 4),
-		InitialParallelism:  1,
-		SampleEvery:         100 * time.Millisecond,
-		Tracer:              tracer,
-		Logger:              os.Stderr,
+	sup, err := elastic.New(elastic.Config{
+		Node:               "work",
+		Upstream:           "src",
+		Build:              build,
+		Store:              core.NewMemorySnapshotStore(),
+		Decide:             elastic.FromPolicy(load.NewScalingPolicy(0.8, 1, 4)),
+		InitialParallelism: 1,
+		SampleEvery:        100 * time.Millisecond,
+		Tracer:             tracer,
+		Logger:             os.Stderr,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "elastic:", err)
 		os.Exit(1)
 	}
-	srv, err := ctrl.ServeIntrospection(addr)
-	if err != nil {
+	srv := obsv.NewServer(sup.Metrics(), tracer, sup.Describe)
+	if err := srv.Start(addr); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
@@ -219,7 +219,7 @@ func runElasticDemo(addr string) {
 	fmt.Printf("elastic demo on http://%s  (/metrics /jobs /traces)\n", srv.Addr())
 
 	start := time.Now()
-	out, rep, err := ctrl.Run(context.Background())
+	out, rep, err := sup.Run(context.Background())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "run:", err)
 		os.Exit(1)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -920,5 +921,93 @@ func TestCollectSinkHelpers(t *testing.T) {
 	s.Reset()
 	if s.Len() != 0 {
 		t.Fatal("reset failed")
+	}
+}
+
+// TestPacedSourceOffsetRoundTrip pins the snapshot wire format and the
+// round-robin global indexing that keeps a rescaled paced replay identical.
+func TestPacedSourceOffsetRoundTrip(t *testing.T) {
+	events := make([]Event, 10)
+	pace := func(int) time.Duration { return 0 }
+	s := NewPacedSourceFactory(events, pace)(1, 2).(*SliceSource)
+	s.offset = 3
+	data, err := s.SnapshotOffset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := NewPacedSourceFactory(events, pace)(1, 2).(*SliceSource)
+	if err := s2.RestoreOffset(data); err != nil {
+		t.Fatal(err)
+	}
+	if s2.offset != 3 {
+		t.Fatalf("offset round-trip: want 3, got %d", s2.offset)
+	}
+	// Instance 1 of 2 owns global indices 1,3,5,... — offset 3 maps to 7.
+	if g := s2.globalIndex(s2.offset); g != 7 {
+		t.Fatalf("global index: want 7, got %d", g)
+	}
+}
+
+// TestCollectSinkWhenLen pins the first-output signal supervisors time
+// recovery by: a length already reached closes at once, a later one closes
+// on the append that reaches it, and under parallel sink instances each
+// waiter closes once the shared length reaches it, and never before.
+func TestCollectSinkWhenLen(t *testing.T) {
+	c := NewCollectSink()
+	op := c.Factory()()
+	emit := func(op Operator) {
+		if err := op.ProcessElement(Event{Key: "k"}, nil); err != nil {
+			t.Error(err)
+		}
+	}
+	emit(op)
+	select {
+	case <-c.WhenLen(1):
+	default:
+		t.Fatal("WhenLen(1) on a sink holding one event is not closed")
+	}
+	later := c.WhenLen(3)
+	emit(op)
+	select {
+	case <-later:
+		t.Fatal("WhenLen(3) closed at length 2")
+	default:
+	}
+	emit(op)
+	select {
+	case <-later:
+	default:
+		t.Fatal("WhenLen(3) not closed at length 3")
+	}
+
+	c = NewCollectSink()
+	const instances, each = 4, 250
+	lengths := []int{1, 97, 500, 999, instances * each}
+	waiters := make([]<-chan struct{}, len(lengths))
+	for i, n := range lengths {
+		waiters[i] = c.WhenLen(n)
+	}
+	beyond := c.WhenLen(instances*each + 1)
+	var wg sync.WaitGroup
+	for i := 0; i < instances; i++ {
+		wg.Add(1)
+		go func(op Operator) {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				emit(op)
+			}
+		}(c.Factory()())
+	}
+	for i, w := range waiters {
+		<-w
+		if got := c.Len(); got < lengths[i] {
+			t.Fatalf("WhenLen(%d) closed at length %d", lengths[i], got)
+		}
+	}
+	wg.Wait()
+	select {
+	case <-beyond:
+		t.Fatalf("WhenLen(%d) closed at length %d", instances*each+1, c.Len())
+	default:
 	}
 }

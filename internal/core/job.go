@@ -144,6 +144,10 @@ func (j *Job) outCounter(node string) *metrics.Counter {
 // completed checkpoint. Must be called before Run.
 func (j *Job) RestoreFrom(checkpointID int64) { j.restoreCP = checkpointID }
 
+// NumKeyGroups returns the key-group fan-out of the job's keyed state, the
+// count a rescale of its checkpoints must redistribute by.
+func (j *Job) NumKeyGroups() int { return j.cfg.NumKeyGroups }
+
 // LastCheckpoint returns the most recently completed checkpoint ID, or -1.
 func (j *Job) LastCheckpoint() int64 { return j.lastCheckpoint.Load() }
 
@@ -808,9 +812,9 @@ func (j *Job) Fail(err error) {
 // requestCheckpoint asks the coordinator to start a checkpoint and reports
 // whether the request was accepted. The send is non-blocking by design —
 // sources call this from their hot path — so a full request queue rejects
-// rather than stalls; callers that must not lose the request (the elastic
-// controller's savepoint trigger) retry on false instead of assuming the
-// checkpoint will happen.
+// rather than stalls; callers that must not lose the request (a rescale's
+// savepoint trigger) retry on false instead of assuming the checkpoint will
+// happen.
 func (j *Job) requestCheckpoint(savepoint bool) bool {
 	select {
 	case j.cpRequest <- barrierMark{Savepoint: savepoint}:

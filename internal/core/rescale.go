@@ -197,10 +197,10 @@ func RescaleCheckpoint(store SnapshotStore, fromCP, toCP int64, nodeName string,
 
 // NodeParallelismIn counts the instances of nodeName recorded in a checkpoint,
 // i.e. the parallelism a job must be rebuilt with to RestoreFrom it. Zero
-// means the checkpoint holds no instances of that node. The elastic controller
-// uses this to roll back to a checkpoint's parallelism after a crash
-// mid-rescale, when the checkpoint it recovers from may predate or postdate
-// the reconfiguration.
+// means the checkpoint holds no instances of that node. ha.Supervisor uses
+// this to roll back to a checkpoint's parallelism after a crash mid-rescale,
+// when the checkpoint it recovers from may predate or postdate the
+// reconfiguration.
 func NodeParallelismIn(meta CheckpointMeta, nodeName string) int {
 	n := 0
 	for _, id := range meta.InstanceIDs {

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 	"sync"
+	"time"
 )
 
 // SourceContext is handed to a running Source.
@@ -77,6 +78,7 @@ type SliceSource struct {
 	events   []Event
 	instance int
 	par      int
+	delay    func(i int) time.Duration
 
 	mu     sync.Mutex
 	offset int // index into the instance's own sub-slice
@@ -89,6 +91,22 @@ func NewSliceSourceFactory(events []Event) SourceFactory {
 		return &SliceSource{events: events, instance: instance, par: parallelism}
 	}
 }
+
+// NewPacedSourceFactory is NewSliceSourceFactory with a pause of delay(i)
+// before events[i] is emitted, so demos and tests can shape the offered rate
+// (ramps, bursts, lulls) without changing the data. i indexes the whole
+// slice, not an instance's share, so one schedule shapes the stream at any
+// source parallelism. Pacing only affects timing: a restored instance
+// resumes at its checkpointed offset emitting identical data.
+func NewPacedSourceFactory(events []Event, delay func(i int) time.Duration) SourceFactory {
+	return func(instance, parallelism int) Source {
+		return &SliceSource{events: events, instance: instance, par: parallelism, delay: delay}
+	}
+}
+
+// globalIndex maps an offset into the instance's share back to its index
+// in the whole slice.
+func (s *SliceSource) globalIndex(i int) int { return s.instance + i*max(s.par, 1) }
 
 // own returns the events assigned to this instance (round-robin).
 func (s *SliceSource) own() []Event {
@@ -111,6 +129,9 @@ func (s *SliceSource) Run(ctx SourceContext) error {
 		s.mu.Unlock()
 		if i >= len(events) {
 			return nil
+		}
+		if s.delay != nil {
+			time.Sleep(s.delay(s.globalIndex(i)))
 		}
 		if !ctx.Collect(events[i]) {
 			return nil
@@ -144,8 +165,15 @@ var _ ReplayableSource = (*SliceSource)(nil)
 // CollectSink accumulates sunk events for assertions. Safe for concurrent
 // use by parallel sink instances.
 type CollectSink struct {
-	mu     sync.Mutex
-	events []Event
+	mu      sync.Mutex
+	events  []Event
+	waiters []lenWaiter
+}
+
+// lenWaiter is a WhenLen channel and the length that closes it.
+type lenWaiter struct {
+	n  int
+	ch chan struct{}
 }
 
 // NewCollectSink returns an empty sink.
@@ -156,9 +184,41 @@ func (c *CollectSink) Factory() OperatorFactory {
 	return SinkFunc(func(e Event) error {
 		c.mu.Lock()
 		c.events = append(c.events, e)
+		if len(c.waiters) > 0 {
+			c.release()
+		}
 		c.mu.Unlock()
 		return nil
 	})
+}
+
+// WhenLen returns a channel closed once the sink holds at least n events:
+// supervisors time recovery by a restarted job's first output without
+// polling. The channel never closes if the sink stays shorter.
+func (c *CollectSink) WhenLen(n int) <-chan struct{} {
+	ch := make(chan struct{})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.events) >= n {
+		close(ch)
+		return ch
+	}
+	c.waiters = append(c.waiters, lenWaiter{n: n, ch: ch})
+	return ch
+}
+
+// release closes the channels of waiters the sink's length has reached.
+// Called with c.mu held.
+func (c *CollectSink) release() {
+	kept := c.waiters[:0]
+	for _, w := range c.waiters {
+		if len(c.events) >= w.n {
+			close(w.ch)
+		} else {
+			kept = append(kept, w)
+		}
+	}
+	c.waiters = kept
 }
 
 // Events returns a copy of the collected events.

@@ -1,20 +1,19 @@
-// Package elastic closes the reconfiguration loop that §3.3/§4.2 of the
-// paper present as the defining second→third-generation capability: instead
-// of simulating elasticity (internal/load/sim.go), a Controller watches a
-// *running* core.Job's metrics, feeds them to a DS2-style load.ScalingPolicy,
-// and when the decision changes executes the full online rescale —
+// Package elastic is the scaling policy that closes the reconfiguration loop
+// §3.3/§4.2 of the paper present as the defining second→third-generation
+// capability: instead of simulating elasticity (internal/load/sim.go), it
+// watches a *running* core.Job's metrics, feeds them to a decision — a
+// DS2-style load.ScalingPolicy by default — and asks the lineage's
+// ha.Supervisor to Rescale when the decision changes. The supervisor runs the
+// online rescale itself —
 //
-//	trigger stop-with-savepoint → RescaleCheckpoint to the new parallelism
+//	stop-with-savepoint → RescaleCheckpoint to the new parallelism
 //	→ rebuild the physical job → RestoreFrom the rescaled checkpoint → resume
 //
-// The loop is crash-tolerant: every step of the window (savepoint committed
-// but rescale not started, rescale mid-write, restore mid-read) recovers by
-// rolling back to the latest *completed* checkpoint and deriving the
-// parallelism to rebuild with from that checkpoint's own instance list, so a
-// crash can never strand the job between two parallelisms. Output across all
-// incarnations is merged exactly-once with ha.Dedup, and under a
-// deterministic keyed pipeline it is byte-identical to a fixed-parallelism
-// run (the E17 equality experiment).
+// — and recovers a crash anywhere in that window by rolling back to the
+// latest completed checkpoint at that checkpoint's own parallelism. Output
+// across all incarnations is merged exactly-once, and under a deterministic
+// keyed pipeline it is byte-identical to a fixed-parallelism run (the E17
+// equality experiment).
 package elastic
 
 import (
@@ -23,7 +22,6 @@ import (
 	"io"
 	"log"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -31,18 +29,7 @@ import (
 	"repro/internal/load"
 	"repro/internal/metrics"
 	"repro/internal/obsv"
-	"repro/internal/state"
 )
-
-// BuildFunc constructs a fresh job with the scaled node at the given
-// parallelism, writing results to sink and checkpointing to store. It is the
-// elastic analogue of ha.JobFactory: the controller calls it for every
-// incarnation — initial start, each rescale, and each crash recovery — so it
-// must produce the same logical pipeline every time, varying only the
-// parallelism. Nodes other than the scaled one (sources in particular) must
-// keep a fixed parallelism across calls, because their checkpointed state is
-// restored per-instance without redistribution.
-type BuildFunc func(parallelism int, sink *core.CollectSink, store core.SnapshotStore) (*core.Job, error)
 
 // Sample is one observation of the scaled node, the input to a scaling
 // decision.
@@ -57,7 +44,7 @@ type Sample struct {
 	TrueRate float64
 	// BlockedFraction estimates the fraction of wall time upstream senders
 	// spent blocked on the node's inboxes (0 when no Upstream is configured).
-	// The controller inflates InputRate by 1/(1-BlockedFraction) to recover
+	// FromPolicy inflates InputRate by 1/(1-BlockedFraction) to recover
 	// offered demand from the throttled observation.
 	BlockedFraction float64
 	// Parallelism is the node's parallelism when the sample was taken.
@@ -68,97 +55,45 @@ type Sample struct {
 	Records int64
 }
 
-// RescaleEvent records one completed live reconfiguration.
-type RescaleEvent struct {
-	From, To int
-	// SavepointID is the checkpoint the rescale consumed (normally the
-	// stop-with-savepoint's checkpoint; the latest completed one if the
-	// savepoint itself aborted). RescaledID = SavepointID+1 is the
-	// synthesised checkpoint the new incarnation restored from.
-	SavepointID int64
-	RescaledID  int64
-	// StateBytes and Timers account the redistributed state volume.
-	StateBytes int64
-	Timers     int
-	// Downtime is the output gap: savepoint trigger accepted → first output
-	// of the re-parallelised incarnation (or its clean finish when the
-	// remaining stream produced no output).
-	Downtime time.Duration
-	// Offline is the span with no job running: old incarnation exited →
-	// new incarnation launched (RescaleCheckpoint + rebuild).
-	Offline time.Duration
-}
-
-// Report summarises a controller run.
-type Report struct {
-	Rescales []RescaleEvent
-	// Attempts counts job incarnations (1 + rescales + restarts).
-	Attempts int
-	// Restarts counts crash recoveries (not planned rescales).
-	Restarts         int
-	FinalParallelism int
-	// Output and Duplicates account for the exactly-once merge of all
-	// incarnations' sink output.
-	Output     int
-	Duplicates int
-}
-
-// ScaleUps counts rescales that increased parallelism.
-func (r Report) ScaleUps() int {
-	n := 0
-	for _, e := range r.Rescales {
-		if e.To > e.From {
-			n++
+// FromPolicy adapts a DS2 scaling policy into a Config.Decide function,
+// correcting the observed input rate for backpressure first.
+func FromPolicy(p *load.ScalingPolicy) func(s Sample, current int) int {
+	return func(s Sample, current int) int {
+		demand := s.InputRate
+		if f := s.BlockedFraction; f > 0 && f < 1 {
+			// The node admitted InputRate while its senders were blocked for
+			// fraction f of the wall clock: the offered rate is what would
+			// have arrived had they never stalled.
+			demand = s.InputRate / (1 - f)
 		}
+		return p.Decide(demand, s.TrueRate, current)
 	}
-	return n
 }
 
-// ScaleDowns counts rescales that decreased parallelism.
-func (r Report) ScaleDowns() int {
-	n := 0
-	for _, e := range r.Rescales {
-		if e.To < e.From {
-			n++
-		}
-	}
-	return n
-}
-
-// Config parameterises a Controller.
+// Config parameterises an elastic lineage.
 type Config struct {
-	// Node is the operator node the controller scales.
+	// Node is the operator node the policy scales.
 	Node string
 	// Upstream optionally names the node feeding Node; when set, the edge's
 	// blocked-send histogram drives the backpressure correction.
 	Upstream string
-	// UpstreamParallelism is the sender count on that edge (default 1),
-	// needed to turn summed blocked-nanoseconds into a wall-time fraction.
-	UpstreamParallelism int
 
-	Build BuildFunc
+	Build ha.BuildFunc
 	Store core.SnapshotStore
 
-	// Policy maps measured rates to a target parallelism. Required unless
-	// Decider is set.
-	Policy *load.ScalingPolicy
-	// Decider, when non-nil, replaces Policy: it receives each sample and
-	// returns the target parallelism. Tests use it to script deterministic
-	// rescale points; the rate-driven path is the default.
-	Decider func(s Sample, current int) int
+	// Decide maps each sample and the current parallelism to a target
+	// parallelism: FromPolicy for the rate-driven DS2 policy, or a script
+	// that pins deterministic rescale points.
+	Decide func(s Sample, current int) int
 
 	// InitialParallelism is the scaled node's starting parallelism
-	// (default 1). NumKeyGroups must match the built jobs' key-group count
-	// (default state.DefaultKeyGroups).
+	// (default 1).
 	InitialParallelism int
-	NumKeyGroups       int
-
 	// SampleEvery is the metric sampling/decision interval (default 10ms).
 	SampleEvery time.Duration
 
 	// Restart bounds crash recovery, exactly as in ha.RunSupervised.
 	Restart ha.RestartStrategy
-
 	// OnStart observes each incarnation before it runs; fault injectors use
 	// it to re-aim kill switches.
 	OnStart func(attempt int, job *core.Job)
@@ -167,389 +102,77 @@ type Config struct {
 	Logger io.Writer
 }
 
-// Controller drives the elastic loop. Build one with New, run it with Run.
-type Controller struct {
-	cfg Config
-	reg *metrics.Registry
-	log *log.Logger
-
-	mu          sync.Mutex
-	job         *core.Job // current incarnation, for Describe
-	par         int
-	rescales    int64
-	restarts    int64
-	lastDownMs  int64
-	lastOffMs   int64
-	baseRecords int64 // records consumed by finished incarnations
-}
-
-// New validates cfg and returns a controller.
-func New(cfg Config) (*Controller, error) {
-	if cfg.Node == "" {
+// New validates cfg and returns the supervisor of an elastic lineage, with
+// the policy as its Watch: Run it to drive the pipeline to completion,
+// Describe and Metrics to watch it.
+func New(cfg Config) (*ha.Supervisor, error) {
+	switch {
+	case cfg.Node == "":
 		return nil, fmt.Errorf("elastic: Config.Node is required")
-	}
-	if cfg.Build == nil {
+	case cfg.Build == nil:
 		return nil, fmt.Errorf("elastic: Config.Build is required")
-	}
-	if cfg.Store == nil {
+	case cfg.Store == nil:
 		return nil, fmt.Errorf("elastic: Config.Store is required")
-	}
-	if cfg.Policy == nil && cfg.Decider == nil {
-		return nil, fmt.Errorf("elastic: one of Config.Policy or Config.Decider is required")
-	}
-	if cfg.InitialParallelism < 1 {
-		cfg.InitialParallelism = 1
-	}
-	if cfg.NumKeyGroups <= 0 {
-		cfg.NumKeyGroups = state.DefaultKeyGroups
-	}
-	if cfg.UpstreamParallelism < 1 {
-		cfg.UpstreamParallelism = 1
+	case cfg.Decide == nil:
+		return nil, fmt.Errorf("elastic: Config.Decide is required")
 	}
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 10 * time.Millisecond
 	}
-	if cfg.Restart.MaxRestarts <= 0 {
-		cfg.Restart.MaxRestarts = 3
-	}
-	if cfg.Restart.Delay <= 0 {
-		cfg.Restart.Delay = 10 * time.Millisecond
-	}
-	c := &Controller{cfg: cfg, reg: metrics.NewRegistry(), log: log.New(io.Discard, "", 0)}
+	lg := log.New(io.Discard, "", 0)
 	if cfg.Logger != nil {
-		c.log = log.New(cfg.Logger, "[elastic:"+cfg.Node+"] ", log.Lmicroseconds)
+		lg = log.New(cfg.Logger, "[elastic:"+cfg.Node+"] ", log.Lmicroseconds)
 	}
-	c.par = cfg.InitialParallelism
-	return c, nil
-}
-
-// Metrics returns the controller's registry (elastic.* series).
-func (c *Controller) Metrics() *metrics.Registry { return c.reg }
-
-// CurrentParallelism returns the scaled node's parallelism right now.
-func (c *Controller) CurrentParallelism() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.par
-}
-
-// Describe reports the current incarnation's topology with the controller's
-// rescale lineage counters filled in, for the /jobs endpoint.
-func (c *Controller) Describe() []obsv.JobInfo {
-	c.mu.Lock()
-	job := c.job
-	rescales, restarts := c.rescales, c.restarts
-	downMs, offMs := c.lastDownMs, c.lastOffMs
-	c.mu.Unlock()
-	if job == nil {
-		return nil
+	sup := &ha.Supervisor{
+		Build:       cfg.Build,
+		Store:       cfg.Store,
+		Restart:     cfg.Restart,
+		Node:        cfg.Node,
+		Parallelism: cfg.InitialParallelism,
+		OnStart:     cfg.OnStart,
+		Tracer:      cfg.Tracer,
+		Log:         lg,
 	}
-	info := job.Describe()
-	info.Rescales = rescales
-	info.Restarts = restarts
-	info.LastRescaleDowntimeMs = downMs
-	info.LastRescaleDurationMs = offMs
-	return []obsv.JobInfo{info}
-}
-
-// ServeIntrospection starts an HTTP server exposing the controller's
-// elastic.* metrics and the current incarnation under /jobs.
-func (c *Controller) ServeIntrospection(addr string) (*obsv.Server, error) {
-	s := obsv.NewServer(c.reg, c.cfg.Tracer, c.Describe)
-	if err := s.Start(addr); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func (c *Controller) setCurrent(job *core.Job, par int) {
-	c.mu.Lock()
-	c.job = job
-	c.par = par
-	c.mu.Unlock()
-	c.reg.Gauge("elastic.parallelism").Set(int64(par))
-}
-
-func (c *Controller) decide(s Sample, current int) int {
-	if c.cfg.Decider != nil {
-		return c.cfg.Decider(s, current)
-	}
-	demand := s.InputRate
-	if f := s.BlockedFraction; f > 0 && f < 1 {
-		// The node admitted InputRate while its senders were blocked for
-		// fraction f of the wall clock: the offered rate is what would have
-		// arrived had they never stalled.
-		demand = s.InputRate / (1 - f)
-	}
-	return c.cfg.Policy.Decide(demand, s.TrueRate, current)
-}
-
-func (c *Controller) publish(s Sample) {
-	c.reg.Gauge("elastic.input_rate").Set(int64(s.InputRate))
-	if !math.IsNaN(s.TrueRate) && !math.IsInf(s.TrueRate, 0) {
-		c.reg.Gauge("elastic.true_rate").Set(int64(s.TrueRate))
-	}
-	c.reg.Gauge("elastic.blocked_pct").Set(int64(s.BlockedFraction * 100))
-}
-
-// pendingRescale tracks a reconfiguration from savepoint trigger until the
-// new incarnation proves liveness (first output), which closes the downtime
-// window.
-type pendingRescale struct {
-	ev           RescaleEvent
-	triggeredAt  time.Time
-	offlineStart time.Time
-	launched     bool
-}
-
-// Run drives the pipeline to natural completion under elastic control,
-// returning the deduplicated output of every incarnation. The stream ends
-// when an incarnation finishes without having been savepoint-stopped; crashes
-// are retried per cfg.Restart; ctx cancellation aborts the run.
-func (c *Controller) Run(ctx context.Context) ([]core.Event, Report, error) {
-	cfg := c.cfg
-	var rep Report
-	var sinks []*core.CollectSink
-	par := cfg.InitialParallelism
-	restoreCP := int64(-1)
-	restarts := 0
-	var pending *pendingRescale
-
-	for attempt := 0; ; attempt++ {
-		sink := core.NewCollectSink()
-		job, err := cfg.Build(par, sink, cfg.Store)
-		if err != nil {
-			return nil, rep, fmt.Errorf("elastic: build attempt %d: %w", attempt, err)
-		}
-		if restoreCP >= 0 {
-			job.RestoreFrom(restoreCP)
-		}
-		c.setCurrent(job, par)
-		if cfg.OnStart != nil {
-			cfg.OnStart(attempt, job)
-		}
-		rep.Attempts++
-		sinks = append(sinks, sink)
-
-		// While a rescale (or the recovery after a mid-rescale crash) is in
-		// flight, watch for this incarnation's first output: it closes the
-		// downtime window.
-		var firstOut chan time.Time
-		var watchStop chan struct{}
-		if pending != nil {
-			if !pending.launched {
-				pending.ev.Offline = time.Since(pending.offlineStart)
-				pending.launched = true
+	// records counts what Node consumed in finished incarnations; the
+	// supervisor runs one Watch at a time.
+	var records int64
+	sup.Watch = func(ctx context.Context, inc ha.Incarnation) error {
+		senders := 1
+		for _, n := range inc.Job.Describe().Nodes {
+			if n.Name == cfg.Upstream {
+				senders = n.Parallelism
 			}
-			firstOut = make(chan time.Time, 1)
-			watchStop = make(chan struct{})
-			go func() {
-				for {
-					if sink.Len() > 0 {
-						firstOut <- time.Now()
-						return
-					}
-					select {
-					case <-watchStop:
-						return
-					default:
-						time.Sleep(50 * time.Microsecond)
-					}
-				}
-			}()
 		}
-
-		done := make(chan error, 1)
-		go func() { done <- job.Run(ctx) }()
-
-		smp := newSampler(job.Metrics(), cfg.Node, cfg.Upstream, cfg.UpstreamParallelism, par, c.baseRecords)
+		reg := inc.Job.Metrics()
+		smp := newSampler(reg, cfg.Node, cfg.Upstream, senders, inc.Parallelism, records)
 		ticker := time.NewTicker(cfg.SampleEvery)
-		var triggeredAt time.Time
-		target := 0
-		var runErr error
-	sampleLoop:
+		defer ticker.Stop()
+		requested := false
 		for {
 			select {
-			case runErr = <-done:
-				break sampleLoop
+			case <-ctx.Done():
+				records += reg.Counter("node." + cfg.Node + ".in").Value()
+				return nil
 			case <-ticker.C:
 				s := smp.sample()
-				c.publish(s)
-				if target != 0 {
+				lineage := sup.Metrics()
+				lineage.Gauge("elastic.input_rate").Set(int64(s.InputRate))
+				if !math.IsNaN(s.TrueRate) && !math.IsInf(s.TrueRate, 0) {
+					lineage.Gauge("elastic.true_rate").Set(int64(s.TrueRate))
+				}
+				lineage.Gauge("elastic.blocked_pct").Set(int64(s.BlockedFraction * 100))
+				if requested {
 					continue // savepoint already accepted; ride it out
 				}
-				want := c.decide(s, par)
-				if want < 1 || want == par {
-					continue
-				}
-				// TriggerSavepoint can reject when the request queue is
-				// full; an accepted savepoint is never dropped, so retry on
-				// the next tick rather than assuming.
-				if job.TriggerSavepoint() {
-					target = want
-					triggeredAt = time.Now()
-					c.log.Printf("rescale %d -> %d requested (in=%.0f/s true=%.0f/s blocked=%d%%)",
-						par, want, s.InputRate, s.TrueRate, int(s.BlockedFraction*100))
+				if want := cfg.Decide(s, inc.Parallelism); sup.Rescale(want) {
+					requested = true
+					lg.Printf("rescale %d -> %d requested (in=%.0f/s true=%.0f/s blocked=%d%%)",
+						inc.Parallelism, want, s.InputRate, s.TrueRate, int(s.BlockedFraction*100))
 				}
 			}
 		}
-		ticker.Stop()
-		c.baseRecords += job.Metrics().Counter("node." + cfg.Node + ".in").Value()
-
-		// Close the previous rescale's downtime window if this incarnation
-		// produced output (or legitimately finished without any).
-		if watchStop != nil {
-			close(watchStop)
-			var at time.Time
-			select {
-			case at = <-firstOut:
-			default:
-				if sink.Len() > 0 || (runErr == nil && !job.SavepointStopped()) {
-					at = time.Now()
-				}
-			}
-			if !at.IsZero() {
-				c.finishRescale(&rep, pending, at)
-				pending = nil
-			}
-			// Otherwise (crashed again before any output) the window stays
-			// open into the next incarnation.
-		}
-
-		if runErr != nil {
-			if ctx.Err() != nil {
-				return nil, rep, ctx.Err()
-			}
-			if restarts >= cfg.Restart.MaxRestarts {
-				return nil, rep, fmt.Errorf("elastic: job failed after %d attempts: %w", rep.Attempts, runErr)
-			}
-			restarts++
-			rep.Restarts++
-			c.mu.Lock()
-			c.restarts++
-			c.mu.Unlock()
-			c.reg.Counter("elastic.restarts").Inc()
-			c.log.Printf("attempt %d failed: %v", attempt, runErr)
-			select {
-			case <-time.After(cfg.Restart.Delay):
-			case <-ctx.Done():
-				return nil, rep, ctx.Err()
-			}
-			// Roll back to the latest completed checkpoint — which may sit on
-			// either side of a crashed reconfiguration — and rebuild at THAT
-			// checkpoint's parallelism, derived from its own instance list.
-			if meta, ok := cfg.Store.Latest(); ok {
-				restoreCP = meta.ID
-				if p := core.NodeParallelismIn(meta, cfg.Node); p > 0 {
-					par = p
-				}
-			} else {
-				restoreCP = -1
-				par = cfg.InitialParallelism
-			}
-			continue
-		}
-
-		if target != 0 && job.SavepointStopped() {
-			// Planned reconfiguration: the savepoint stopped the sources.
-			// Rescale from the latest completed checkpoint — normally the
-			// savepoint itself; an older one if the savepoint aborted on a
-			// snapshot failure (the replayed tail then re-emits, and the
-			// dedup merge suppresses it).
-			offStart := time.Now()
-			meta, ok := cfg.Store.Latest()
-			if !ok {
-				// Nothing completed yet: nothing to redistribute, so just
-				// rebuild fresh at the target parallelism.
-				c.log.Printf("rescale %d -> %d with no completed checkpoint; fresh start", par, target)
-				pending = &pendingRescale{
-					ev:           RescaleEvent{From: par, To: target, SavepointID: -1, RescaledID: -1},
-					triggeredAt:  triggeredAt,
-					offlineStart: offStart,
-				}
-				c.noteRescale()
-				restoreCP = -1
-				par = target
-				continue
-			}
-			stats, err := core.RescaleCheckpointTraced(cfg.Tracer, cfg.Store, meta.ID, meta.ID+1, cfg.Node, target, cfg.NumKeyGroups)
-			if err != nil {
-				// A failed rescale is a crash inside the reconfiguration
-				// window: recover from the latest completed checkpoint like
-				// any other failure. The decision logic will re-trigger the
-				// rescale once the job is healthy again.
-				if restarts >= cfg.Restart.MaxRestarts {
-					return nil, rep, fmt.Errorf("elastic: rescale %d -> %d failed after %d attempts: %w", par, target, rep.Attempts, err)
-				}
-				restarts++
-				rep.Restarts++
-				c.mu.Lock()
-				c.restarts++
-				c.mu.Unlock()
-				c.reg.Counter("elastic.restarts").Inc()
-				c.log.Printf("rescale %d -> %d failed, rolling back: %v", par, target, err)
-				select {
-				case <-time.After(cfg.Restart.Delay):
-				case <-ctx.Done():
-					return nil, rep, ctx.Err()
-				}
-				restoreCP = meta.ID
-				if p := core.NodeParallelismIn(meta, cfg.Node); p > 0 {
-					par = p
-				}
-				continue
-			}
-			pending = &pendingRescale{
-				ev: RescaleEvent{
-					From: par, To: target,
-					SavepointID: meta.ID, RescaledID: meta.ID + 1,
-					StateBytes: stats.StateBytes, Timers: stats.Timers,
-				},
-				triggeredAt:  triggeredAt,
-				offlineStart: offStart,
-			}
-			c.noteRescale()
-			restoreCP = meta.ID + 1
-			par = target
-			continue
-		}
-
-		// Natural completion: the stream is exhausted.
-		slices := make([][]core.Event, len(sinks))
-		for i, s := range sinks {
-			slices[i] = s.Events()
-		}
-		out, dups := ha.Dedup(slices...)
-		rep.Output = len(out)
-		rep.Duplicates = dups
-		rep.FinalParallelism = par
-		return out, rep, nil
 	}
-}
-
-func (c *Controller) noteRescale() {
-	c.mu.Lock()
-	c.rescales++
-	c.mu.Unlock()
-	c.reg.Counter("elastic.rescales").Inc()
-}
-
-// finishRescale closes a rescale's downtime window at the moment the new
-// incarnation proved liveness, and publishes the event.
-func (c *Controller) finishRescale(rep *Report, p *pendingRescale, at time.Time) {
-	p.ev.Downtime = at.Sub(p.triggeredAt)
-	rep.Rescales = append(rep.Rescales, p.ev)
-	downMs := p.ev.Downtime.Milliseconds()
-	offMs := p.ev.Offline.Milliseconds()
-	c.mu.Lock()
-	c.lastDownMs = downMs
-	c.lastOffMs = offMs
-	c.mu.Unlock()
-	c.reg.Histogram("elastic.rescale_downtime_ms").Observe(downMs)
-	c.reg.Histogram("elastic.rescale_offline_ms").Observe(offMs)
-	c.reg.Counter("elastic.rescale_state_bytes").Add(p.ev.StateBytes)
-	c.log.Printf("rescale %d -> %d complete: downtime=%s offline=%s state=%dB timers=%d",
-		p.ev.From, p.ev.To, p.ev.Downtime, p.ev.Offline, p.ev.StateBytes, p.ev.Timers)
+	return sup, nil
 }
 
 // sampler derives rate samples from counter deltas over wall time. It reads

@@ -36,7 +36,7 @@ func elasticEvents(n int) []core.Event {
 // 1) -> keyed tumbling count window "win" (the scaled node) -> sink. The
 // small channel capacity keeps the source backpressured so savepoint barriers
 // always land mid-stream.
-func makeBuild(events []core.Event, pace func(int) time.Duration) BuildFunc {
+func makeBuild(events []core.Event, pace func(int) time.Duration) ha.BuildFunc {
 	return func(par int, sink *core.CollectSink, store core.SnapshotStore) (*core.Job, error) {
 		b := core.NewBuilder(core.Config{
 			Name:               "elastic-e17",
@@ -47,7 +47,7 @@ func makeBuild(events []core.Event, pace func(int) time.Duration) BuildFunc {
 			DefaultParallelism: par,
 			Instrument:         true,
 		})
-		keyed := b.Source("src", NewPacedSourceFactory(events, pace),
+		keyed := b.Source("src", core.NewPacedSourceFactory(events, pace),
 			core.WithParallelism(1), core.WithBoundedDisorder(0)).
 			KeyBy(func(e core.Event) string { return e.Key })
 		window.Apply(keyed, "win", window.NewTumbling(1_000), window.CountAggregate()).
@@ -105,7 +105,7 @@ func TestLiveRescaleEquality(t *testing.T) {
 		Store: core.NewMemorySnapshotStore(),
 		// Scripted on stream position so the rescale points are deterministic;
 		// the rate-driven path is covered by the sampler/decide tests below.
-		Decider: func(s Sample, current int) int {
+		Decide: func(s Sample, current int) int {
 			switch {
 			case s.Records > 800:
 				return 3 // scale in once most of the stream has passed
@@ -203,7 +203,7 @@ func TestRescaleCrashMatrix(t *testing.T) {
 				Node:  "win",
 				Build: makeBuild(events, pace50us),
 				Store: store,
-				Decider: func(s Sample, current int) int {
+				Decide: func(s Sample, current int) int {
 					if s.Records > 250 {
 						return 4
 					}
@@ -282,45 +282,14 @@ func TestSamplerRates(t *testing.T) {
 // observed while senders were blocked half the time represents twice the
 // offered load.
 func TestDecideBackpressureCorrection(t *testing.T) {
-	c, err := New(Config{
-		Node:   "win",
-		Build:  makeBuild(nil, nil),
-		Store:  core.NewMemorySnapshotStore(),
-		Policy: load.NewScalingPolicy(0.8, 1, 16),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	decide := FromPolicy(load.NewScalingPolicy(0.8, 1, 16))
 	// demand = 500/(1-0.5) = 1000; ceil(1000/(200*0.8)) = 7.
-	if got := c.decide(Sample{InputRate: 500, TrueRate: 200, BlockedFraction: 0.5}, 1); got != 7 {
+	if got := decide(Sample{InputRate: 500, TrueRate: 200, BlockedFraction: 0.5}, 1); got != 7 {
 		t.Fatalf("corrected decision: want 7, got %d", got)
 	}
 	// Without blocking the throttled rate is taken at face value: ceil(500/160)=4.
-	if got := c.decide(Sample{InputRate: 500, TrueRate: 200}, 1); got != 4 {
+	if got := decide(Sample{InputRate: 500, TrueRate: 200}, 1); got != 4 {
 		t.Fatalf("uncorrected decision: want 4, got %d", got)
-	}
-}
-
-// TestPacedSourceOffsetRoundTrip pins the snapshot wire format and the
-// round-robin global indexing that keeps a rescaled replay identical.
-func TestPacedSourceOffsetRoundTrip(t *testing.T) {
-	events := elasticEvents(10)
-	s := &pacedSource{events: events, instance: 1, par: 2}
-	s.offset = 3
-	data, err := s.SnapshotOffset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := &pacedSource{events: events, instance: 1, par: 2}
-	if err := s2.RestoreOffset(data); err != nil {
-		t.Fatal(err)
-	}
-	if s2.offset != 3 {
-		t.Fatalf("offset round-trip: want 3, got %d", s2.offset)
-	}
-	// Instance 1 of 2 owns global indices 1,3,5,... — offset 3 maps to 7.
-	if g := s2.globalIndex(s2.offset); g != 7 {
-		t.Fatalf("global index: want 7, got %d", g)
 	}
 }
 
@@ -328,19 +297,19 @@ func TestPacedSourceOffsetRoundTrip(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	build := makeBuild(nil, nil)
 	store := core.NewMemorySnapshotStore()
-	pol := load.NewScalingPolicy(0.8, 1, 4)
+	pol := FromPolicy(load.NewScalingPolicy(0.8, 1, 4))
 	cases := []Config{
-		{Build: build, Store: store, Policy: pol}, // no node
-		{Node: "win", Store: store, Policy: pol},  // no build
-		{Node: "win", Build: build, Policy: pol},  // no store
-		{Node: "win", Build: build, Store: store}, // no policy or decider
+		{Build: build, Store: store, Decide: pol}, // no node
+		{Node: "win", Store: store, Decide: pol},  // no build
+		{Node: "win", Build: build, Decide: pol},  // no store
+		{Node: "win", Build: build, Store: store}, // no decision
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("case %d: invalid config accepted", i)
 		}
 	}
-	c, err := New(Config{Node: "win", Build: build, Store: store, Policy: pol})
+	c, err := New(Config{Node: "win", Build: build, Store: store, Decide: pol})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,12 @@
-// Package ha implements the two high-availability techniques whose evolution
-// §3.2 of the paper reviews:
-//
-//   - active standby: two identical job instances run in parallel; on
-//     failure of the primary the system switches to the secondary, which is
-//     already caught up — near-zero recovery time at twice the resource
-//     cost, "the preferred option for critical applications";
-//   - passive standby (the modern form): a fresh instance is started on
-//     spare capacity from the latest checkpointed snapshot and replays the
-//     tail — recovery time proportional to restore + replay, at minimal
-//     steady-state overhead.
+// Package ha holds the high-availability techniques whose evolution §3.2
+// of the paper reviews. Passive standby, restart and reconfiguration (§3.3)
+// are one mechanism, restart from the latest snapshot at a possibly new
+// parallelism: Supervisor runs it, and RunSupervised (a restart strategy),
+// RunPassiveStandby (one failover) and internal/elastic (a scaling policy)
+// are thin layers over it. Active standby runs two identical jobs in
+// parallel and switches to the already caught-up secondary when the primary
+// fails — near-zero recovery time at twice the resource cost, "the preferred
+// option for critical applications".
 //
 // Experiment E7 uses these, plus the lineage-based micro-batch baseline in
 // package lineage, to reproduce the recovery-time vs. overhead trade-off.
@@ -16,6 +14,7 @@ package ha
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -51,39 +50,17 @@ type Report struct {
 	ReplayedEvents int
 }
 
-// String renders the report row.
-func (r Report) String() string {
-	recovery := fmt.Sprintf("%4dms", r.RecoveryMillis)
-	if !r.RecoveryMeasured {
-		recovery = "  n/a" // no post-failure output: nothing was replayed
-	}
-	return fmt.Sprintf("%-16s output=%-6d duplicates=%-6d recovery=%s replayed=%-6d resources=%dx",
-		r.Mode, r.Output, r.Duplicates, recovery, r.ReplayedEvents, r.ResourceUnits)
-}
-
-// eventID derives the dedup identity of a result event. Jobs used with this
-// package must emit results whose (Key, Timestamp) pairs are unique, which
-// deterministic pipelines over replayable sources naturally provide.
-func eventID(e core.Event) string {
-	return fmt.Sprintf("%s@%d", e.Key, e.Timestamp)
-}
-
 // Dedup merges result-event slices from successive job incarnations keeping
 // first occurrences, and counts the suppressed duplicates — the exactly-once
-// merge every supervised/reconfigured lineage uses (restarts here, live
-// rescales in internal/elastic). Events are identified by (Key, Timestamp);
-// see eventID.
-func Dedup(slices ...[]core.Event) ([]core.Event, int) {
-	return dedup(slices...)
-}
-
-// dedup merges event slices keeping first occurrences, and counts
-// suppressed duplicates.
-func dedup(slices ...[]core.Event) (out []core.Event, duplicates int) {
+// merge of every supervised lineage and of active standby's pair. Events are
+// identified by (Key, Timestamp): jobs used with this package must emit
+// results whose pairs are unique, which deterministic pipelines over
+// replayable sources naturally provide.
+func Dedup(slices ...[]core.Event) (out []core.Event, duplicates int) {
 	seen := make(map[string]bool)
 	for _, s := range slices {
 		for _, e := range s {
-			id := eventID(e)
+			id := fmt.Sprintf("%s@%d", e.Key, e.Timestamp)
 			if seen[id] {
 				duplicates++
 				continue
@@ -121,299 +98,92 @@ func RunActiveStandby(ctx context.Context, fac JobFactory, killAfter int) ([]cor
 	go func() { secondaryDone <- secondary.Run(runCtx) }()
 
 	// Fail the primary after killAfter outputs (or when it finishes first).
-	primaryFinished := false
-	for primarySink.Len() < killAfter {
-		select {
-		case <-primaryDone:
-			primaryFinished = true
-			killAfter = primarySink.Len() // primary finished early
-		case <-ctx.Done():
-			return nil, rep, ctx.Err()
-		default:
-			time.Sleep(100 * time.Microsecond)
-		}
-		if primaryFinished || primarySink.Len() >= killAfter {
-			break
-		}
+	select {
+	case <-primarySink.WhenLen(killAfter):
+	case err := <-primaryDone:
+		primaryDone <- err
+	case <-ctx.Done():
+		return nil, rep, ctx.Err()
 	}
 	failureAt := time.Now()
 	primary.Stop()
-	if !primaryFinished {
-		<-primaryDone
-	}
+	<-primaryDone
 
 	// Failover: the secondary is already running; recovery time is how long
 	// until its output covers the primary's progress.
-	for secondarySink.Len() < primarySink.Len() {
-		select {
-		case err := <-secondaryDone:
-			if err != nil && err != context.Canceled {
-				return nil, rep, fmt.Errorf("ha: secondary failed: %w", err)
-			}
-			secondaryDone <- nil
-		case <-ctx.Done():
-			return nil, rep, ctx.Err()
-		default:
-			time.Sleep(100 * time.Microsecond)
-		}
-		if secondarySink.Len() >= primarySink.Len() {
-			break
-		}
+	select {
+	case <-secondarySink.WhenLen(primarySink.Len()):
+	case err := <-secondaryDone:
+		secondaryDone <- err
+	case <-ctx.Done():
+		return nil, rep, ctx.Err()
 	}
 	rep.RecoveryMillis = time.Since(failureAt).Milliseconds()
 	rep.RecoveryMeasured = true
-
 	if err := <-secondaryDone; err != nil && err != context.Canceled {
 		return nil, rep, fmt.Errorf("ha: secondary failed: %w", err)
 	}
 
-	out, dups := dedup(primarySink.Events(), secondarySink.Events())
+	out, dups := Dedup(primarySink.Events(), secondarySink.Events())
 	rep.Output = len(out)
 	rep.Duplicates = dups
 	return out, rep, nil
 }
 
 // RunPassiveStandby runs one job with checkpointing, kills it after
-// killAfter results, then starts a standby restored from the latest
-// checkpoint and lets it finish.
+// killAfter results (or at its end, if the stream is shorter), then starts a
+// standby restored from the latest checkpoint and lets it finish. It is one
+// supervised incarnation plus one restore; without a completed checkpoint
+// to restore it returns an error.
 func RunPassiveStandby(ctx context.Context, fac JobFactory, store core.SnapshotStore, killAfter int) ([]core.Event, Report, error) {
 	rep := Report{Mode: "passive-standby", ResourceUnits: 1}
-
-	sink1 := core.NewCollectSink()
-	primary, err := fac(sink1, store)
-	if err != nil {
-		return nil, rep, err
-	}
-	done := make(chan error, 1)
-	go func() { done <- primary.Run(ctx) }()
-
-	finished := false
-	for sink1.Len() < killAfter {
-		select {
-		case <-done:
-			finished = true
-		case <-ctx.Done():
-			return nil, rep, ctx.Err()
-		default:
-			time.Sleep(100 * time.Microsecond)
-		}
-		if finished || sink1.Len() >= killAfter {
-			break
-		}
-	}
-	failureAt := time.Now()
-	primary.Stop()
-	if !finished {
-		<-done
-	}
-
-	cp, ok := store.Latest()
-	if !ok {
-		return nil, rep, fmt.Errorf("ha: no completed checkpoint to recover from")
-	}
-
-	// Spin up the standby from the snapshot ("transferring the computation
-	// code and the latest checkpointed state snapshot of a failed operator
-	// to an available compute node").
-	sink2 := core.NewCollectSink()
-	standby, err := fac(sink2, store)
-	if err != nil {
-		return nil, rep, err
-	}
-	standby.RestoreFrom(cp.ID)
-	// Watch for the standby's first output; the watcher stops with the run
-	// instead of spinning forever when the standby has nothing to emit.
-	firstOutput := make(chan time.Time, 1)
-	watchStop := make(chan struct{})
-	go func() {
-		for {
-			if sink2.Len() > 0 {
-				firstOutput <- time.Now()
-				return
+	var killedAt time.Time
+	s := &Supervisor{
+		Build: func(_ int, sink *core.CollectSink, st core.SnapshotStore) (*core.Job, error) {
+			if !killedAt.IsZero() {
+				if _, ok := st.Latest(); !ok {
+					return nil, errors.New("ha: no completed checkpoint to recover from")
+				}
 			}
+			return fac(sink, st)
+		},
+		Store: store,
+		// Fail over at once: the standby is the only restart.
+		Restart: RestartStrategy{MaxRestarts: 1, Delay: time.Nanosecond},
+		Watch: func(ctx context.Context, inc Incarnation) error {
+			if inc.Attempt == 0 {
+				select {
+				case <-inc.Sink.WhenLen(killAfter):
+					killedAt = time.Now()
+					inc.Job.Stop()
+				case <-ctx.Done():
+					killedAt = time.Now()
+				}
+				return errors.New("ha: primary stopped for failover")
+			}
+			// Recovery time is failure → the standby's first output
+			// (restore + replay to the failure point). A standby that
+			// produced no output at all is NOT a slow recovery — there was
+			// nothing left to replay past the checkpoint — so it stays
+			// unmeasured instead of charging the whole standby runtime.
 			select {
-			case <-watchStop:
-				return
-			default:
-				time.Sleep(50 * time.Microsecond)
+			case <-inc.Sink.WhenLen(1):
+			case <-ctx.Done():
+				if inc.Sink.Len() == 0 {
+					return nil
+				}
 			}
-		}
-	}()
-	runErr := standby.Run(ctx)
-	close(watchStop)
-	if runErr != nil {
-		return nil, rep, fmt.Errorf("ha: standby failed: %w", runErr)
-	}
-	// Recovery time is failure → first post-failure output (restore + replay
-	// to the failure point). A standby that produced no output at all is NOT
-	// a slow recovery — there was simply nothing left to replay past the
-	// checkpoint — so the report distinguishes that case instead of charging
-	// the whole standby runtime as recovery time.
-	select {
-	case t := <-firstOutput:
-		rep.RecoveryMillis = t.Sub(failureAt).Milliseconds()
-		rep.RecoveryMeasured = true
-	default:
-		if sink2.Len() > 0 {
-			// Output arrived as the run drained, before the watcher polled it.
-			rep.RecoveryMillis = time.Since(failureAt).Milliseconds()
+			rep.RecoveryMillis = time.Since(killedAt).Milliseconds()
 			rep.RecoveryMeasured = true
-		}
+			return nil
+		},
 	}
-
-	out, dups := dedup(sink1.Events(), sink2.Events())
+	out, srep, err := s.Run(ctx)
+	if err != nil {
+		return nil, rep, err
+	}
 	rep.Output = len(out)
-	rep.Duplicates = dups
-	rep.ReplayedEvents = dups // duplicates are exactly the replayed overlap
+	rep.Duplicates = srep.Duplicates
+	rep.ReplayedEvents = srep.Duplicates // duplicates are exactly the replayed overlap
 	return out, rep, nil
-}
-
-// RestartStrategy bounds how a supervised job recovers from crashes: each
-// failed run (operator error, panic, injected fault) is restarted after a
-// fixed delay from the latest completed checkpoint, up to MaxRestarts times.
-// This is the "restart from the latest checkpointed snapshot" loop that makes
-// passive standby a complete fault-tolerance mechanism rather than a one-shot
-// failover.
-type RestartStrategy struct {
-	// MaxRestarts is the number of restarts allowed after the initial run
-	// (so MaxRestarts=3 permits 4 attempts total). Zero or negative uses the
-	// default of 3.
-	MaxRestarts int
-	// Delay is the fixed pause before each restart. Zero uses 10ms.
-	Delay time.Duration
-}
-
-func (s RestartStrategy) withDefaults() RestartStrategy {
-	if s.MaxRestarts <= 0 {
-		s.MaxRestarts = 3
-	}
-	if s.Delay <= 0 {
-		s.Delay = 10 * time.Millisecond
-	}
-	return s
-}
-
-// SupervisionReport summarises one supervised run.
-type SupervisionReport struct {
-	// Attempts is the number of runs started (1 for a fault-free job).
-	Attempts int
-	// Restarts is Attempts-1 for a job that eventually finished.
-	Restarts int
-	// RecoveredFrom records, per attempt, the checkpoint ID the run restored
-	// from (-1 for a fresh start — the first attempt, or a restart before any
-	// checkpoint completed).
-	RecoveredFrom []int64
-	// Failures holds the error text of every failed attempt, in order.
-	Failures []string
-	// Output and Duplicates account for the deduplicated merge of all
-	// attempts' sink output.
-	Output     int
-	Duplicates int
-	// RecoveryMillis sums, over every failure, the wall time from the
-	// failure to the first output a restarted incarnation produced (restart
-	// delay + restore + replay) — the passive-standby recovery metric under
-	// supervision. Failures whose restart produced no output contribute the
-	// time until that restart finished.
-	RecoveryMillis int64
-}
-
-// RunSupervised runs a job under the restart strategy: the job is built
-// fresh for every attempt, restored from the latest completed checkpoint
-// when one exists, and restarted after strategy.Delay whenever the run
-// fails. onStart, when non-nil, observes each attempt's job before it runs —
-// fault injectors use it to aim their kill switches at the current
-// incarnation. The merged, deduplicated output of all attempts is returned;
-// under exactly-once checkpointing it equals the output of a fault-free run.
-func RunSupervised(ctx context.Context, fac JobFactory, store core.SnapshotStore, strategy RestartStrategy, onStart func(attempt int, job *core.Job)) ([]core.Event, SupervisionReport, error) {
-	strategy = strategy.withDefaults()
-	var rep SupervisionReport
-	var sinks []*core.CollectSink
-	var failureAt time.Time // zero = not currently recovering from a failure
-	for attempt := 0; ; attempt++ {
-		sink := core.NewCollectSink()
-		job, err := fac(sink, store)
-		if err != nil {
-			return nil, rep, fmt.Errorf("ha: build attempt %d: %w", attempt, err)
-		}
-		from := int64(-1)
-		if attempt > 0 {
-			if cp, ok := store.Latest(); ok {
-				job.RestoreFrom(cp.ID)
-				from = cp.ID
-			}
-		}
-		rep.RecoveredFrom = append(rep.RecoveredFrom, from)
-		sinks = append(sinks, sink)
-		if onStart != nil {
-			onStart(attempt, job)
-		}
-		rep.Attempts++
-
-		// While recovering, watch for the incarnation's first output: that
-		// closes the failure→recovered interval.
-		var firstOut chan time.Time
-		var watchStop chan struct{}
-		if !failureAt.IsZero() {
-			firstOut = make(chan time.Time, 1)
-			watchStop = make(chan struct{})
-			go func() {
-				for {
-					if sink.Len() > 0 {
-						firstOut <- time.Now()
-						return
-					}
-					select {
-					case <-watchStop:
-						return
-					default:
-						time.Sleep(50 * time.Microsecond)
-					}
-				}
-			}()
-		}
-		runErr := job.Run(ctx)
-		if watchStop != nil {
-			close(watchStop)
-			select {
-			case t := <-firstOut:
-				rep.RecoveryMillis += t.Sub(failureAt).Milliseconds()
-				failureAt = time.Time{}
-			default:
-				if sink.Len() > 0 || runErr == nil {
-					rep.RecoveryMillis += time.Since(failureAt).Milliseconds()
-					failureAt = time.Time{}
-				}
-			}
-		}
-		if runErr == nil {
-			out, dups := dedup(eventSlices(sinks)...)
-			rep.Output = len(out)
-			rep.Duplicates = dups
-			return out, rep, nil
-		}
-		if ctx.Err() != nil {
-			return nil, rep, ctx.Err()
-		}
-		rep.Failures = append(rep.Failures, runErr.Error())
-		if attempt >= strategy.MaxRestarts {
-			return nil, rep, fmt.Errorf("ha: job failed after %d attempts: %w", rep.Attempts, runErr)
-		}
-		if failureAt.IsZero() {
-			failureAt = time.Now()
-		}
-		select {
-		case <-time.After(strategy.Delay):
-		case <-ctx.Done():
-			return nil, rep, ctx.Err()
-		}
-		rep.Restarts++
-	}
-}
-
-func eventSlices(sinks []*core.CollectSink) [][]core.Event {
-	out := make([][]core.Event, len(sinks))
-	for i, s := range sinks {
-		out[i] = s.Events()
-	}
-	return out
 }

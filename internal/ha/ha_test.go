@@ -92,7 +92,7 @@ func TestPassiveStandbyWithoutCheckpointFails(t *testing.T) {
 func TestDedupCountsDuplicates(t *testing.T) {
 	a := []core.Event{{Key: "k", Timestamp: 1}, {Key: "k", Timestamp: 2}}
 	b := []core.Event{{Key: "k", Timestamp: 2}, {Key: "k", Timestamp: 3}}
-	out, dups := dedup(a, b)
+	out, dups := Dedup(a, b)
 	if len(out) != 3 || dups != 1 {
 		t.Fatalf("dedup: got %d events, %d dups", len(out), dups)
 	}

@@ -24,11 +24,11 @@ type JobInfo struct {
 	// SnapshotSaveFailures counts individual failed snapshot attempts,
 	// post-retry.
 	SnapshotSaveFailures int64 `json:"snapshot_save_failures"`
-	// Restarts counts supervised restarts of this job's lineage (filled by a
-	// restart-strategy supervisor; 0 when the job runs unsupervised).
+	// Restarts counts supervised restarts of this job's lineage (filled by
+	// ha.Supervisor's Describe; 0 when the job runs unsupervised).
 	Restarts int64 `json:"restarts"`
-	// Rescales counts completed live reconfigurations of this job's lineage
-	// (filled by the elastic controller; 0 for a fixed-parallelism job).
+	// Rescales counts live reconfigurations of this job's lineage (filled by
+	// ha.Supervisor's Describe; 0 for a fixed-parallelism job).
 	Rescales int64 `json:"rescales,omitempty"`
 	// LastRescaleDowntimeMs is the output gap of the most recent rescale:
 	// savepoint trigger → first output of the re-parallelised incarnation.
