@@ -173,7 +173,9 @@ func (s *clValue) Get() (any, bool) { return s.inner.Get() }
 
 func (s *clValue) Set(v any) {
 	s.inner.Set(v)
-	s.b.log.Append(ChangelogOp{Name: s.name, Key: s.b.CurrentKey(), Value: v})
+	// A cell is logged as its scalar: mutating it later must not rewrite an
+	// op already in the log.
+	s.b.log.Append(ChangelogOp{Name: s.name, Key: s.b.CurrentKey(), Value: scalarOf(v)})
 }
 
 func (s *clValue) Clear() {

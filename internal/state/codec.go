@@ -25,9 +25,10 @@ const (
 	tagGob      byte = 7 // gob stream of an interface value
 )
 
-// encodeValue serialises one state value for the LSM backend.
+// encodeValue serialises one state value for the LSM backend. A cell is
+// written as its scalar.
 func encodeValue(v any) ([]byte, error) {
-	switch x := v.(type) {
+	switch x := scalarOf(v).(type) {
 	case float64:
 		return binary.BigEndian.AppendUint64([]byte{tagFloat64}, math.Float64bits(x)), nil
 	case int64:

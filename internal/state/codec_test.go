@@ -45,8 +45,9 @@ func TestValueCodecRoundtrip(t *testing.T) {
 
 // FuzzValueCodec: decoding arbitrary bytes gives an error or a value; it
 // never panics, and a value of one of the fixed binary forms re-encodes to
-// exactly the bytes it came from (gob streams are not canonical, so for those
-// only the absence of a panic is checked).
+// exactly the bytes it came from, as does a cell pointing at a decoded float64
+// or int64 (gob streams are not canonical, so for those only the absence of a
+// panic is checked).
 func FuzzValueCodec(f *testing.F) {
 	for _, v := range []any{1.5, int64(-3), "str", true, []float64{1, 2}, []int64{3}, codecStruct{Name: "s"}, map[string]any{"k": "v"}} {
 		raw, err := encodeValue(v)
@@ -69,6 +70,19 @@ func FuzzValueCodec(f *testing.F) {
 		}
 		if !bytes.Equal(again, data) {
 			t.Fatalf("% x decoded to %#v, which re-encodes to % x", data, v, again)
+		}
+		// A cell encodes as its scalar.
+		var cell any
+		switch x := v.(type) {
+		case float64:
+			cell = &x
+		case int64:
+			cell = &x
+		default:
+			return
+		}
+		if raw, err := encodeValue(cell); err != nil || !bytes.Equal(raw, data) {
+			t.Fatalf("cell of %#v encodes to % x (%v), want % x", v, raw, err, data)
 		}
 	})
 }

@@ -260,11 +260,13 @@ func (b *LSMBackend) logical(name, key string) (any, bool) {
 	if v, ok := b.Value(name).Get(); ok {
 		return v, true
 	}
-	m := b.Map(name)
+	m := &lsmMap{b: b, name: name}
 	if keys := m.Keys(); len(keys) > 0 {
 		out := make(map[string]any, len(keys))
 		for _, k := range keys {
-			out[k], _ = m.Get(k)
+			// lookup, not Get: reading a cell here is no write of it.
+			_, _, sl := m.lookup(k)
+			out[k] = sl.val
 		}
 		return out, true
 	}

@@ -26,9 +26,11 @@ import (
 // ForEachKey, Dispose). Between those points the Get-then-Put of a record is
 // two map operations, and an element created and removed never reaches the
 // tree at all. What a crash can lose is therefore exactly what the last
-// completed checkpoint does not cover. The cache is bounded by the tree's
-// memtable budget: over it, dirty entries spill to the memtable and the rest
-// are dropped, so state larger than memory still works.
+// completed checkpoint does not cover. A map Get that returns a cell marks
+// its slot dirty, since the caller may mutate the cell in place (see
+// MapState). The cache is bounded by the tree's memtable budget: over it,
+// dirty entries spill to the memtable and the rest are dropped, so state
+// larger than memory still works.
 //
 // A map[string]any or []any is how an Image spells map and list state, so
 // value and reducing state must not hold one (Set panics): it could not be
@@ -84,7 +86,7 @@ func approxSize(v any) int {
 		return 8 * len(x)
 	case []int64:
 		return 8 * len(x)
-	case nil, float64, int64, bool:
+	case nil, float64, int64, bool, *float64, *int64:
 		return 8
 	}
 	return 64
@@ -437,6 +439,11 @@ func (s *lsmMap) lookup(sub string) (dirtyKey, *mapColl, *slot) {
 
 func (s *lsmMap) Get(mapKey string) (any, bool) {
 	_, _, sl := s.lookup(mapKey)
+	if sl.present && IsCell(sl.val) {
+		// The caller may mutate the cell: write it at the next flush.
+		sl.dirty = true
+		s.b.touch(s.name)
+	}
 	return sl.val, sl.present
 }
 

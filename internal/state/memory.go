@@ -252,6 +252,9 @@ func (s *memMap) Get(mapKey string) (any, bool) {
 		return nil, false
 	}
 	v, ok := m[mapKey]
+	if ok && s.b.delta != nil && IsCell(v) {
+		s.b.delta.touch(s.name, s.b.currentKey) // the caller may mutate it
+	}
 	return v, ok
 }
 

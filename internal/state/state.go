@@ -65,6 +65,14 @@ type ListState interface {
 }
 
 // MapState is a per-key map of user sub-keys to values.
+//
+// A value may be a cell: a *float64 or *int64 its owner updates in place
+// instead of Putting a new value per update. A Get that returns a cell counts
+// as a write of it — it marks the entry for the next delta checkpoint and for
+// the LSM backend's write-back cache — so a cell may be mutated after a Get
+// without a Put, until the next call on the backend. Snapshots, exports and
+// delta ops hold a cell's scalar, never the pointer, and restore it as a plain
+// float64 or int64: the owner re-wraps it on first touch and Puts the new cell.
 type MapState interface {
 	Put(mapKey string, v any)
 	Get(mapKey string) (any, bool)
@@ -121,6 +129,34 @@ type Backend interface {
 
 	// Dispose releases resources (files, logs).
 	Dispose() error
+}
+
+// scalarOf returns the scalar a cell points at, or v itself when v is not a
+// cell.
+func scalarOf(v any) any {
+	switch c := v.(type) {
+	case *float64:
+		if c != nil {
+			return *c
+		}
+	case *int64:
+		if c != nil {
+			return *c
+		}
+	}
+	return v
+}
+
+// IsCell reports whether v is a cell (see MapState), without boxing its
+// scalar.
+func IsCell(v any) bool {
+	switch c := v.(type) {
+	case *float64:
+		return c != nil
+	case *int64:
+		return c != nil
+	}
+	return false
 }
 
 // RegisterType makes a user value type encodable in snapshots. It must be

@@ -11,6 +11,15 @@ import (
 )
 
 // Aggregate defines how window contents are accumulated and emitted.
+//
+// An accumulator may be a cell, a *float64 or *int64 that Add, AddBatch and
+// Merge update in place and return (see state.MapState). The window operator
+// Puts an accumulator only when it created it, or when Add or AddBatch
+// returned anything but the cell its state Get returned, so a warm cell costs
+// a record one Get and no Put. A restore yields a cell's plain scalar: Add and
+// AddBatch must accept it and return a new cell wrapping it, which the
+// operator then Puts. Emit must copy the value out of a cell: an emitted event
+// that pointed at it would change with the next record.
 type Aggregate struct {
 	// Create returns an empty accumulator.
 	Create func() any
@@ -31,40 +40,84 @@ type Aggregate struct {
 }
 
 // FloatAggregate builds an Aggregate over float64 values using an AggFn and
-// a value extractor. Its AddBatch folds a segment in order with fn, without
-// boxing the accumulator per element.
+// a value extractor. Its accumulator is a *float64 cell, so Add and AddBatch
+// allocate only to wrap a restored scalar.
 func FloatAggregate(fn AggFn, get func(core.Event) float64) Aggregate {
 	return Aggregate{
-		Create: func() any { return fn.Identity },
-		Add:    func(acc any, e core.Event) any { return fn.Combine(acc.(float64), get(e)) },
-		Merge:  func(a, b any) any { return fn.Combine(a.(float64), b.(float64)) },
+		Create: func() any { c := fn.Identity; return &c },
+		Add: func(acc any, e core.Event) any {
+			c := floatCell(acc)
+			*c = fn.Combine(*c, get(e))
+			return c
+		},
+		Merge: func(a, b any) any {
+			c := floatCell(a)
+			*c = fn.Combine(*c, *floatCell(b))
+			return c
+		},
 		Emit: func(key string, w Window, acc any) core.Event {
-			return core.Event{Key: key, Timestamp: w.End - 1, Value: acc}
+			return core.Event{Key: key, Timestamp: w.End - 1, Value: *floatCell(acc)}
 		},
 		AddBatch: func(acc any, seg []core.Event) any {
-			a := acc.(float64)
+			c := floatCell(acc)
+			a := *c
 			for i := range seg {
 				a = fn.Combine(a, get(seg[i]))
 			}
-			return a
+			*c = a
+			return c
 		},
 	}
 }
 
-// CountAggregate counts elements per window.
+// CountAggregate counts elements per window. Its accumulator is an *int64
+// cell.
 func CountAggregate() Aggregate {
 	return Aggregate{
-		Create: func() any { return int64(0) },
-		Add:    func(acc any, _ core.Event) any { return acc.(int64) + 1 },
-		Merge:  func(a, b any) any { return a.(int64) + b.(int64) },
+		Create: func() any { return new(int64) },
+		Add: func(acc any, _ core.Event) any {
+			c := intCell(acc)
+			*c++
+			return c
+		},
+		Merge: func(a, b any) any {
+			c := intCell(a)
+			*c += *intCell(b)
+			return c
+		},
 		Emit: func(key string, w Window, acc any) core.Event {
-			return core.Event{Key: key, Timestamp: w.End - 1, Value: acc}
+			return core.Event{Key: key, Timestamp: w.End - 1, Value: *intCell(acc)}
 		},
 		AddBatch: func(acc any, seg []core.Event) any {
-			return acc.(int64) + int64(len(seg))
+			c := intCell(acc)
+			*c += int64(len(seg))
+			return c
 		},
 	}
 }
+
+// floatCell returns acc's cell, wrapping the plain float64 a restore yields
+// in a new one.
+func floatCell(acc any) *float64 {
+	if c, ok := acc.(*float64); ok {
+		return c
+	}
+	c := acc.(float64)
+	return &c
+}
+
+// intCell is floatCell for int64 accumulators.
+func intCell(acc any) *int64 {
+	if c, ok := acc.(*int64); ok {
+		return c
+	}
+	c := acc.(int64)
+	return &c
+}
+
+// inPlace reports whether next is the cell acc, which the state Get that
+// returned acc already counted as written.
+func inPlace(acc, next any) bool { return state.IsCell(acc) && next == acc }
 
 // Option customises the window operator.
 type Option func(*operator)
@@ -268,7 +321,9 @@ func (o *operator) addRun(run []core.Event, ctx core.BatchContext) error {
 					ctx.RegisterEventTimeTimer(w.End + o.lateness)
 				}
 			}
-			st.Put(k, o.agg.AddBatch(acc, run[s:e]))
+			if next := o.agg.AddBatch(acc, run[s:e]); !ok || !inPlace(acc, next) {
+				st.Put(k, next)
+			}
 		}
 		s = e
 	}
@@ -300,11 +355,13 @@ func (o *operator) addToWindow(w Window, e core.Event, ctx core.Context, wm int6
 			ctx.RegisterEventTimeTimer(w.End + o.lateness)
 		}
 	}
-	acc = o.agg.Add(acc, e)
-	st.Put(k, acc)
+	next := o.agg.Add(acc, e)
+	if !ok || !inPlace(acc, next) {
+		st.Put(k, next)
+	}
 	if !global && w.End <= wm {
 		// Late but allowed: re-emit the updated result immediately.
-		ctx.Emit(o.agg.Emit(ctx.Key(), w, acc))
+		ctx.Emit(o.agg.Emit(ctx.Key(), w, next))
 	}
 	return nil
 }
@@ -342,7 +399,7 @@ func (o *operator) OnTimer(ts int64, ctx core.Context) error {
 		// Fixed-size windows: look up the firing window directly instead of
 		// scanning the key's whole open set.
 		if w, ok := o.fixedEnd.WindowEnding(ts); ok {
-			k := endKey(w.End)
+			k := o.cachedStateKey(w)
 			if acc, ok := st.Get(k); ok {
 				ctx.Emit(o.agg.Emit(ctx.Key(), w, acc))
 				if o.lateness == 0 || w.End == maxInt64 {
@@ -352,7 +409,7 @@ func (o *operator) OnTimer(ts int64, ctx core.Context) error {
 		}
 		if o.lateness > 0 {
 			if w, ok := o.fixedEnd.WindowEnding(ts - o.lateness); ok && w.End != maxInt64 {
-				st.Remove(endKey(w.End))
+				st.Remove(o.cachedStateKey(w))
 			}
 		}
 		return nil
