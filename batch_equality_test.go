@@ -71,11 +71,11 @@ func chunkSource(events []core.Event, chunk int) core.SourceFactory {
 // pipelineRun runs one pipeline at a batch capacity and operator parallelism
 // and returns what its sink received. Sources run at parallelism 1, so a
 // key's input order is fixed.
-type pipelineRun func(t *testing.T, capacity, par int, atLeastOnce bool) []core.Event
+type pipelineRun func(t *testing.T, capacity, par int) []core.Event
 
 // batchConfig is the shared job configuration: checkpoints every 500 source
 // records and small channels, so barriers align mid-stream.
-func batchConfig(name string, capacity, par int, atLeastOnce bool) core.Config {
+func batchConfig(name string, capacity, par int) core.Config {
 	return core.Config{
 		Name:               name,
 		MaxBatchSize:       capacity,
@@ -84,7 +84,6 @@ func batchConfig(name string, capacity, par int, atLeastOnce bool) core.Config {
 		ChannelCapacity:    8,
 		WatermarkInterval:  16,
 		DefaultParallelism: par,
-		AtLeastOnce:        atLeastOnce,
 	}
 }
 
@@ -113,10 +112,10 @@ func lateSumEvents() []core.Event {
 // runLateSum runs a keyed tumbling sum with allowed lateness: records later
 // than 150 ms past their window's end are dropped, the rest re-emit the
 // updated window.
-func runLateSum(t *testing.T, capacity, par int, atLeastOnce bool) []core.Event {
+func runLateSum(t *testing.T, capacity, par int) []core.Event {
 	t.Helper()
 	sink := core.NewCollectSink()
-	b := core.NewBuilder(batchConfig("eq-late-sum", capacity, par, atLeastOnce))
+	b := core.NewBuilder(batchConfig("eq-late-sum", capacity, par))
 	s := b.Source("src", chunkSource(lateSumEvents(), 100), core.WithBoundedDisorder(100), core.WithParallelism(1)).
 		KeyBy(func(e core.Event) string { return e.Key })
 	window.Apply(s, "win", window.NewTumbling(1_000), window.FloatAggregate(window.Sum, func(e core.Event) float64 { return e.Value.(float64) }), window.WithAllowedLateness(150)).
@@ -138,10 +137,10 @@ func fraudEvents() []core.Event { return gen.Events(gen.FraudSpec(3_000, 20, 0.0
 
 // runCEP runs the fraud pattern over a generated transaction stream, the
 // pattern operator at the matrix parallelism.
-func runCEP(t *testing.T, capacity, par int, atLeastOnce bool) []core.Event {
+func runCEP(t *testing.T, capacity, par int) []core.Event {
 	t.Helper()
 	alerts := core.NewCollectSink()
-	b := core.NewBuilder(batchConfig("eq-cep", capacity, par, atLeastOnce))
+	b := core.NewBuilder(batchConfig("eq-cep", capacity, par))
 	txns := b.Source("txns", chunkSource(fraudEvents(), 100), core.WithBoundedDisorder(0), core.WithParallelism(1))
 	keyed := txns.KeyBy(func(e core.Event) string { return e.Value.(gen.Transaction).Card })
 	cep.PatternStream(keyed, "pattern", fraudPattern(), func(card string, m cep.Match, emit func(core.Event)) {
@@ -154,10 +153,10 @@ func runCEP(t *testing.T, capacity, par int, atLeastOnce bool) []core.Event {
 // runCQL runs a continuous GROUP BY over the late-sum stream. The query
 // operator runs at parallelism 1 (its input order is its semantics); its
 // deltas fan out by group over the matrix parallelism.
-func runCQL(t *testing.T, capacity, par int, atLeastOnce bool) []core.Event {
+func runCQL(t *testing.T, capacity, par int) []core.Event {
 	t.Helper()
 	sink := core.NewCollectSink()
-	b := core.NewBuilder(batchConfig("eq-cql", capacity, par, atLeastOnce))
+	b := core.NewBuilder(batchConfig("eq-cql", capacity, par))
 	src := b.Source("ev", chunkSource(lateSumEvents(), 100), core.WithBoundedDisorder(100), core.WithParallelism(1))
 	cql.Operator(src, "agg", "ISTREAM (SELECT k, SUM(v) AS s, COUNT(*) AS n FROM ev [RANGE 1000] GROUP BY k)",
 		"ev", func(e core.Event) (cql.Row, bool) {
@@ -175,9 +174,9 @@ func runCQL(t *testing.T, capacity, par int, atLeastOnce bool) []core.Event {
 	return sink.Events()
 }
 
-// forEachMode runs body once per pipeline, operator parallelism and
-// guarantee, as a subtest named pipeline/par-N/mode.
-func forEachMode(t *testing.T, pipelines map[string]pipelineRun, body func(t *testing.T, name string, par int, alo bool)) {
+// forEachPipeline runs body once per pipeline and operator parallelism, as
+// a subtest named pipeline/par-N/exactly-once.
+func forEachPipeline(t *testing.T, pipelines map[string]pipelineRun, body func(t *testing.T, name string, par int)) {
 	names := make([]string, 0, len(pipelines))
 	for name := range pipelines {
 		names = append(names, name)
@@ -185,15 +184,9 @@ func forEachMode(t *testing.T, pipelines map[string]pipelineRun, body func(t *te
 	sort.Strings(names)
 	for _, name := range names {
 		for _, par := range []int{1, 4} {
-			for _, alo := range []bool{false, true} {
-				mode := "exactly-once"
-				if alo {
-					mode = "at-least-once"
-				}
-				t.Run(fmt.Sprintf("%s/par-%d/%s", name, par, mode), func(t *testing.T) {
-					body(t, name, par, alo)
-				})
-			}
+			t.Run(fmt.Sprintf("%s/par-%d/exactly-once", name, par), func(t *testing.T) {
+				body(t, name, par)
+			})
 		}
 	}
 }
@@ -204,14 +197,14 @@ func forEachMode(t *testing.T, pipelines map[string]pipelineRun, body func(t *te
 // values with late drops and late re-emissions, CEP, and a CQL GROUP BY.
 func TestBatchedOutputEqualityMatrix(t *testing.T) {
 	pipelines := map[string]pipelineRun{"window": runLateSum, "cep": runCEP, "cql": runCQL}
-	forEachMode(t, pipelines, func(t *testing.T, name string, par int, alo bool) {
+	forEachPipeline(t, pipelines, func(t *testing.T, name string, par int) {
 		run := pipelines[name]
-		want := perKey(run(t, 1, par, alo))
+		want := perKey(run(t, 1, par))
 		if len(want) == 0 {
 			t.Fatal("reference run produced no output")
 		}
 		for _, capacity := range []int{7, 64} {
-			got := perKey(run(t, capacity, par, alo))
+			got := perKey(run(t, capacity, par))
 			if len(got) != len(want) {
 				t.Fatalf("capacity %d: %d keys, capacity 1: %d", capacity, len(got), len(want))
 			}
@@ -225,10 +218,10 @@ func TestBatchedOutputEqualityMatrix(t *testing.T) {
 }
 
 // runWindowedCount runs a keyed tumbling count over a generated stream.
-func runWindowedCount(t *testing.T, capacity, par int, atLeastOnce bool) []core.Event {
+func runWindowedCount(t *testing.T, capacity, par int) []core.Event {
 	t.Helper()
 	sink := core.NewCollectSink()
-	b := core.NewBuilder(batchConfig("eq-window", capacity, par, atLeastOnce))
+	b := core.NewBuilder(batchConfig("eq-window", capacity, par))
 	s := b.Source("src", chunkSource(countEvents(), 100), core.WithBoundedDisorder(0), core.WithParallelism(1)).
 		KeyBy(func(e core.Event) string { return e.Key })
 	window.Apply(s, "win", window.NewTumbling(1_000), window.CountAggregate()).
@@ -278,17 +271,16 @@ func cepReference() map[string]int {
 // TestColumnarOutputEqualityMatrix holds the whole-batch engine, at the
 // benchmark's batch capacity of 64, to a sequential evaluation of the same
 // query: a windowed count (window's run-segmented batch fold) and CEP (a
-// per-record operator behind the adapter), across guarantees and operator
-// parallelism.
+// per-record operator behind the adapter), at operator parallelism 1 and 4.
 func TestColumnarOutputEqualityMatrix(t *testing.T) {
 	pipelines := map[string]pipelineRun{"window": runWindowedCount, "cep": runCEP}
 	refs := map[string]map[string]int{"window": countReference(), "cep": cepReference()}
-	forEachMode(t, pipelines, func(t *testing.T, name string, par int, alo bool) {
+	forEachPipeline(t, pipelines, func(t *testing.T, name string, par int) {
 		want := refs[name]
 		if len(want) == 0 {
 			t.Fatal("reference produced no output")
 		}
-		requireEqualOutput(t, t.Name(), want, multiset(pipelines[name](t, 64, par, alo)))
+		requireEqualOutput(t, t.Name(), want, multiset(pipelines[name](t, 64, par)))
 	})
 }
 
@@ -305,16 +297,15 @@ func TestBatchedCheckpointRestoreEquality(t *testing.T) {
 			Name:              "batch-restore",
 			MaxBatchSize:      batch,
 			SnapshotStore:     st,
-			ChannelCapacity:   4,
 			WatermarkInterval: 8,
 		})
-		s := b.Source("src", gen.SourceFactory(spec), core.WithBoundedDisorder(0))
+		src := gen.SourceFactory(spec)
 		if stopAt > 0 {
-			s = s.Process("mid", savepointTrigger(stopAt, jobRef))
-		} else {
-			s = s.Map("mid", func(e core.Event) (core.Event, bool) { return e, true })
+			src = savepointAfter(src, stopAt, jobRef)
 		}
-		keyed := s.KeyBy(func(e core.Event) string { return e.Key })
+		keyed := b.Source("src", src, core.WithBoundedDisorder(0)).
+			Map("mid", func(e core.Event) (core.Event, bool) { return e, true }).
+			KeyBy(func(e core.Event) string { return e.Key })
 		window.Apply(keyed, "count", window.NewTumbling(1_000), window.CountAggregate()).
 			Sink("out", sink.Factory())
 		j, err := b.Build()

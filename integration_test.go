@@ -41,16 +41,15 @@ func TestWindowedPipelineSurvivesRestore(t *testing.T) {
 		b := core.NewBuilder(core.Config{
 			Name:              "win-restore",
 			SnapshotStore:     store,
-			ChannelCapacity:   4,
 			WatermarkInterval: 8,
 		})
-		s := b.Source("src", gen.SourceFactory(spec), core.WithBoundedDisorder(0))
+		src := gen.SourceFactory(spec)
 		if stopAt > 0 {
-			s = s.Process("mid", savepointTrigger(stopAt, jobRef))
-		} else {
-			s = s.Map("mid", func(e core.Event) (core.Event, bool) { return e, true })
+			src = savepointAfter(src, stopAt, jobRef)
 		}
-		keyed := s.KeyBy(func(e core.Event) string { return e.Key })
+		keyed := b.Source("src", src, core.WithBoundedDisorder(0)).
+			Map("mid", func(e core.Event) (core.Event, bool) { return e, true }).
+			KeyBy(func(e core.Event) string { return e.Key })
 		window.Apply(keyed, "count", window.NewTumbling(1_000), window.CountAggregate()).
 			Sink("out", sink.Factory())
 		j, err := b.Build()
@@ -97,23 +96,44 @@ func TestWindowedPipelineSurvivesRestore(t *testing.T) {
 	}
 }
 
-func savepointTrigger(at int, job **core.Job) core.OperatorFactory {
-	return func() core.Operator { return &spTrigger{at: at, job: job} }
-}
-
-type spTrigger struct {
-	core.BaseOperator
-	at, seen int
-	job      **core.Job
-}
-
-func (o *spTrigger) ProcessElement(e core.Event, ctx core.Context) error {
-	ctx.Emit(e)
-	o.seen++
-	if o.seen == o.at && o.job != nil && *o.job != nil {
-		(*o.job).TriggerSavepoint()
+// savepointAfter wraps a replayable source so that each instance calls
+// TriggerSavepoint from its own goroutine right after its n-th record: the
+// barrier lands right before the instance's next record however the rest
+// of the job is scheduled.
+func savepointAfter(f core.SourceFactory, n int, job **core.Job) core.SourceFactory {
+	return func(instance, par int) core.Source {
+		return &savepointSource{ReplayableSource: f(instance, par).(core.ReplayableSource), n: n, job: job}
 	}
-	return nil
+}
+
+type savepointSource struct {
+	core.ReplayableSource
+	n   int
+	job **core.Job
+}
+
+func (s *savepointSource) Run(ctx core.SourceContext) error {
+	return s.ReplayableSource.Run(&savepointCtx{SourceContext: ctx, s: s})
+}
+
+// savepointCtx counts the records its source collects.
+type savepointCtx struct {
+	core.SourceContext
+	s    *savepointSource
+	seen int
+}
+
+func (c *savepointCtx) Collect(e core.Event) bool { return c.CollectBatch([]core.Event{e}) }
+
+func (c *savepointCtx) CollectBatch(events []core.Event) bool {
+	if !c.SourceContext.CollectBatch(events) {
+		return false
+	}
+	if c.seen < c.s.n && c.seen+len(events) >= c.s.n {
+		(*c.s.job).TriggerSavepoint()
+	}
+	c.seen += len(events)
+	return true
 }
 
 // TestCQLOperatorInsideEngine runs a CQL aggregation as a dataflow operator
@@ -254,17 +274,17 @@ func TestQueryableStateAcrossRescale(t *testing.T) {
 
 	build := func(par int, stopAt int, jobRef **core.Job) *core.Job {
 		b := core.NewBuilder(core.Config{Name: "qrescale", SnapshotStore: store,
-			ChannelCapacity: 4, WatermarkInterval: 16, DefaultParallelism: par})
-		s := b.Source("src", core.NewSliceSourceFactory(evs), core.WithParallelism(1), core.WithBoundedDisorder(0))
+			WatermarkInterval: 16, DefaultParallelism: par})
+		src := core.NewSliceSourceFactory(evs)
 		if stopAt > 0 {
-			s = s.ProcessWith("mid", savepointTrigger(stopAt, jobRef), 1)
-		} else {
-			s = s.ProcessWith("mid", core.MapFunc(func(e core.Event, ctx core.Context) error {
+			src = savepointAfter(src, stopAt, jobRef)
+		}
+		keyed := b.Source("src", src, core.WithParallelism(1), core.WithBoundedDisorder(0)).
+			ProcessWith("mid", core.MapFunc(func(e core.Event, ctx core.Context) error {
 				ctx.Emit(e)
 				return nil
-			}), 1)
-		}
-		keyed := s.KeyBy(func(e core.Event) string { return e.Key })
+			}), 1).
+			KeyBy(func(e core.Event) string { return e.Key })
 		str := queryable.PublishOperator(keyed, "count", svc, "counts", "n",
 			func(e core.Event, ctx core.Context) {
 				st := ctx.State().Value("n")
@@ -330,58 +350,6 @@ func TestQueryableStateAcrossRescale(t *testing.T) {
 	for k, n := range want {
 		if v, ok := svc.Get("counts", k); !ok || v.(int64) != n {
 			t.Fatalf("queryable count of %s after 1 -> 3 -> 2: %v %v, want %d", k, v, ok, n)
-		}
-	}
-}
-
-// TestAtLeastOnceModeDeliversEverything exercises the unaligned-barrier
-// mode: a restore may duplicate but never lose.
-func TestAtLeastOnceModeDeliversEverything(t *testing.T) {
-	const events = 1_000
-	evs := make([]core.Event, events)
-	for i := range evs {
-		evs[i] = core.Event{Key: "k", Timestamp: int64(i), Value: int64(1)}
-	}
-	store := core.NewMemorySnapshotStore()
-
-	var j1 *core.Job
-	sink1 := core.NewCollectSink()
-	b := core.NewBuilder(core.Config{Name: "alo", SnapshotStore: store,
-		AtLeastOnce: true, ChannelCapacity: 2})
-	b.Source("src", core.NewSliceSourceFactory(evs)).
-		Process("mid", savepointTrigger(400, &j1)).
-		Sink("out", sink1.Factory())
-	j, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1 = j
-	runWithTimeout(t, j)
-	cp := j.LastCheckpoint()
-	if cp < 0 {
-		t.Fatal("no savepoint in at-least-once mode")
-	}
-
-	sink2 := core.NewCollectSink()
-	b2 := core.NewBuilder(core.Config{Name: "alo2", SnapshotStore: store, AtLeastOnce: true})
-	b2.Source("src", core.NewSliceSourceFactory(evs)).
-		Map("mid", func(e core.Event) (core.Event, bool) { return e, true }).
-		Sink("out", sink2.Factory())
-	j2, err := b2.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2.RestoreFrom(cp)
-	runWithTimeout(t, j2)
-
-	// Union must cover every timestamp at least once.
-	seen := map[int64]int{}
-	for _, e := range append(sink1.Events(), sink2.Events()...) {
-		seen[e.Timestamp]++
-	}
-	for i := int64(0); i < events; i++ {
-		if seen[i] == 0 {
-			t.Fatalf("at-least-once lost event %d", i)
 		}
 	}
 }

@@ -209,9 +209,6 @@ func TestCheckpointAndRestore(t *testing.T) {
 			Name:            "chk",
 			SnapshotStore:   store,
 			CheckpointEvery: 50,
-			// Keep the source close behind consumers so barriers are
-			// injected mid-stream deterministically.
-			ChannelCapacity: 4,
 		})
 		b.Source("src", NewSliceSourceFactory(genEvents(n, keys))).
 			KeyBy(func(e Event) string { return e.Key }).
@@ -261,13 +258,10 @@ func TestSavepointStopsAndResumes(t *testing.T) {
 	store := NewMemorySnapshotStore()
 	sink1 := NewCollectSink()
 
-	// The trigger operator requests a savepoint after 100 elements; the tiny
-	// channel capacity keeps the source close behind the sink so the barrier
-	// is injected before the source finishes.
+	// The source requests a savepoint after its 100th element.
 	var jobRef *Job
-	b := NewBuilder(Config{Name: "sp", SnapshotStore: store, ChannelCapacity: 2})
-	b.Source("src", NewSliceSourceFactory(genEvents(n, 3))).
-		Process("trigger", func() Operator { return &savepointTrigger{at: 100, job: &jobRef} }).
+	b := NewBuilder(Config{Name: "sp", SnapshotStore: store})
+	b.Source("src", triggerAfter(NewSliceSourceFactory(genEvents(n, 3)), 100, true, &jobRef)).
 		Sink("out", sink1.Factory())
 	j, err := b.Build()
 	if err != nil {
@@ -299,24 +293,6 @@ func TestSavepointStopsAndResumes(t *testing.T) {
 	}
 }
 
-// savepointTrigger forwards events and requests a savepoint after `at`
-// elements have passed through.
-type savepointTrigger struct {
-	BaseOperator
-	at   int
-	seen int
-	job  **Job
-}
-
-func (o *savepointTrigger) ProcessElement(e Event, ctx Context) error {
-	ctx.Emit(e)
-	o.seen++
-	if o.seen == o.at && *o.job != nil {
-		(*o.job).TriggerSavepoint()
-	}
-	return nil
-}
-
 func TestExactlyOnceNoDuplicatesAcrossRestore(t *testing.T) {
 	// With aligned barriers and replayable sources, restoring from the
 	// savepoint and concatenating outputs yields exactly the input stream.
@@ -327,14 +303,14 @@ func TestExactlyOnceNoDuplicatesAcrossRestore(t *testing.T) {
 	run := func(restoreFrom int64, stopAt int) ([]Event, int64) {
 		sink := NewCollectSink()
 		var jobRef *Job
-		b := NewBuilder(Config{Name: "eo", SnapshotStore: store, ChannelCapacity: 2})
-		s := b.Source("src", NewSliceSourceFactory(events))
+		b := NewBuilder(Config{Name: "eo", SnapshotStore: store})
+		src := NewSliceSourceFactory(events)
 		if stopAt > 0 {
-			s = s.Process("mid", func() Operator { return &savepointTrigger{at: stopAt, job: &jobRef} })
-		} else {
-			s = s.Map("mid", func(e Event) (Event, bool) { return e, true })
+			src = triggerAfter(src, stopAt, true, &jobRef)
 		}
-		s.Sink("out", sink.Factory())
+		b.Source("src", src).
+			Map("mid", func(e Event) (Event, bool) { return e, true }).
+			Sink("out", sink.Factory())
 		j, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
@@ -460,14 +436,13 @@ func TestRescaleCheckpointRedistributesState(t *testing.T) {
 	events := genEvents(n, keys)
 
 	build := func(par int, stopAt int, jobRef **Job, sink *CollectSink) *Job {
-		b := NewBuilder(Config{Name: "rescale", SnapshotStore: store, ChannelCapacity: 2})
-		s := b.Source("src", NewSliceSourceFactory(events))
+		b := NewBuilder(Config{Name: "rescale", SnapshotStore: store})
+		src := NewSliceSourceFactory(events)
 		if stopAt > 0 {
-			s = s.Process("trigger", func() Operator { return &savepointTrigger{at: stopAt, job: jobRef} })
-		} else {
-			s = s.Map("trigger", func(e Event) (Event, bool) { return e, true })
+			src = triggerAfter(src, stopAt, true, jobRef)
 		}
-		s.KeyBy(func(e Event) string { return e.Key }).
+		b.Source("src", src).
+			KeyBy(func(e Event) string { return e.Key }).
 			ProcessWith("count", func() Operator { return &countOperator{} }, par).
 			Sink("out", sink.Factory())
 		j, err := b.Build()
@@ -633,15 +608,13 @@ func TestNonDrainStopDoesNotFlushTimers(t *testing.T) {
 	// captured in the snapshot instead); with a natural end they all fire.
 	mkJob := func(stopAt int, jobRef **Job, store SnapshotStore) (*Job, *CollectSink) {
 		sink := NewCollectSink()
-		b := NewBuilder(Config{Name: "drain-test", SnapshotStore: store,
-			ChannelCapacity: 2, WatermarkInterval: 4})
-		s := b.Source("src", NewSliceSourceFactory(genEvents(200, 3)), WithBoundedDisorder(0))
+		b := NewBuilder(Config{Name: "drain-test", SnapshotStore: store, WatermarkInterval: 4})
+		src := NewSliceSourceFactory(genEvents(200, 3))
 		if stopAt > 0 {
-			s = s.Process("mid", func() Operator { return &savepointTrigger{at: stopAt, job: jobRef} })
-		} else {
-			s = s.Map("mid", func(e Event) (Event, bool) { return e, true })
+			src = triggerAfter(src, stopAt, true, jobRef)
 		}
-		s.KeyBy(func(e Event) string { return e.Key }).
+		b.Source("src", src, WithBoundedDisorder(0)).
+			KeyBy(func(e Event) string { return e.Key }).
 			Process("timers", func() Operator { return &farTimerOp{} }).
 			Sink("out", sink.Factory())
 		j, err := b.Build()
@@ -766,14 +739,14 @@ func TestRecoveryAcrossProcessRestartViaFileStore(t *testing.T) {
 		}
 		sink := NewCollectSink()
 		var jobRef *Job
-		b := NewBuilder(Config{Name: "file-rec", SnapshotStore: store, ChannelCapacity: 2})
-		s := b.Source("src", NewSliceSourceFactory(events))
+		b := NewBuilder(Config{Name: "file-rec", SnapshotStore: store})
+		src := NewSliceSourceFactory(events)
 		if stopAt > 0 {
-			s = s.Process("mid", func() Operator { return &savepointTrigger{at: stopAt, job: &jobRef} })
-		} else {
-			s = s.Map("mid", func(e Event) (Event, bool) { return e, true })
+			src = triggerAfter(src, stopAt, true, &jobRef)
 		}
-		s.Sink("out", sink.Factory())
+		b.Source("src", src).
+			Map("mid", func(e Event) (Event, bool) { return e, true }).
+			Sink("out", sink.Factory())
 		j, err := b.Build()
 		if err != nil {
 			t.Fatal(err)

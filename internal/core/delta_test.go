@@ -5,33 +5,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/state"
 )
-
-// cpTrigger forwards events and requests a checkpoint every `every` records,
-// then briefly yields so the coordinator can complete it before the next
-// trigger. Auto-triggering via CheckpointEvery completes only one or two
-// checkpoints in a fast test run (requests arriving while one is in flight
-// are coalesced away); explicit pacing gives the multi-checkpoint histories
-// the delta tests need.
-type cpTrigger struct {
-	BaseOperator
-	every int
-	seen  int
-	job   **Job
-}
-
-func (o *cpTrigger) ProcessElement(e Event, ctx Context) error {
-	ctx.Emit(e)
-	o.seen++
-	if o.every > 0 && o.seen%o.every == 0 && *o.job != nil {
-		(*o.job).TriggerCheckpoint()
-		time.Sleep(2 * time.Millisecond)
-	}
-	return nil
-}
 
 // skewedEvents builds a two-phase stream: the first fill events spread over
 // spread keys (building a wide state), the rest hammer only hot keys. Late
@@ -83,11 +59,9 @@ func TestDeltaCheckpointsEndToEnd(t *testing.T) {
 		b := NewBuilder(Config{
 			Name:             "delta",
 			SnapshotStore:    store,
-			ChannelCapacity:  4,
 			DeltaCheckpoints: true,
 		})
-		b.Source("src", NewSliceSourceFactory(events)).
-			Process("pace", func() Operator { return &cpTrigger{every: 100, job: jobRef} }).
+		b.Source("src", triggerAfter(NewSliceSourceFactory(events), 100, false, jobRef)).
 			KeyBy(func(e Event) string { return e.Key }).
 			Process("count", func() Operator { return &countOperator{} }).
 			Sink("out", sink.Factory())
@@ -165,12 +139,10 @@ func TestFullSnapshotCadenceBoundsChain(t *testing.T) {
 	b := NewBuilder(Config{
 		Name:              "cadence",
 		SnapshotStore:     store,
-		ChannelCapacity:   4,
 		DeltaCheckpoints:  true,
 		FullSnapshotEvery: every,
 	})
-	b.Source("src", NewSliceSourceFactory(genEvents(600, 4))).
-		Process("pace", func() Operator { return &cpTrigger{every: 40, job: &jobRef} }).
+	b.Source("src", triggerAfter(NewSliceSourceFactory(genEvents(600, 4)), 40, false, &jobRef)).
 		KeyBy(func(e Event) string { return e.Key }).
 		Process("count", func() Operator { return &countOperator{} }).
 		Sink("out", sink.Factory())
@@ -221,16 +193,14 @@ func TestLSMNativeSnapshotsRestore(t *testing.T) {
 
 	build := func(gen string, sink *CollectSink, jobRef **Job) *Job {
 		b := NewBuilder(Config{
-			Name:            "lsm-native",
-			SnapshotStore:   store,
-			ChannelCapacity: 4,
+			Name:          "lsm-native",
+			SnapshotStore: store,
 			BackendFactory: func(nodeName string, instance int) (state.Backend, error) {
 				return state.NewLSMBackend(filepath.Join(dir, gen, fmt.Sprintf("%s-%d", nodeName, instance)), 0)
 			},
 			LSMNativeSnapshots: true,
 		})
-		b.Source("src", NewSliceSourceFactory(genEvents(n, 7))).
-			Process("pace", func() Operator { return &cpTrigger{every: 100, job: jobRef} }).
+		b.Source("src", triggerAfter(NewSliceSourceFactory(genEvents(n, 7)), 100, false, jobRef)).
 			KeyBy(func(e Event) string { return e.Key }).
 			Process("count", func() Operator { return &countOperator{} }).
 			Sink("out", sink.Factory())
@@ -341,9 +311,8 @@ func TestDeltaChainOnNativeFullRestore(t *testing.T) {
 
 	build := func(gen string, sink *CollectSink, jobRef **Job) *Job {
 		b := NewBuilder(Config{
-			Name:            "lsm-delta",
-			SnapshotStore:   store,
-			ChannelCapacity: 4,
+			Name:          "lsm-delta",
+			SnapshotStore: store,
 			BackendFactory: func(nodeName string, instance int) (state.Backend, error) {
 				return state.NewLSMBackend(filepath.Join(dir, gen, fmt.Sprintf("%s-%d", nodeName, instance)), 0)
 			},
@@ -351,8 +320,7 @@ func TestDeltaChainOnNativeFullRestore(t *testing.T) {
 			FullSnapshotEvery:  4,
 			LSMNativeSnapshots: true,
 		})
-		b.Source("src", NewSliceSourceFactory(genEvents(n, 9))).
-			Process("pace", func() Operator { return &cpTrigger{every: 80, job: jobRef} }).
+		b.Source("src", triggerAfter(NewSliceSourceFactory(genEvents(n, 9)), 80, false, jobRef)).
 			KeyBy(func(e Event) string { return e.Key }).
 			Process("count", func() Operator { return &countOperator{} }).
 			Sink("out", sink.Factory())
@@ -400,11 +368,9 @@ func TestRescaleRejectsDeltaCheckpoint(t *testing.T) {
 	b := NewBuilder(Config{
 		Name:             "rescale-delta",
 		SnapshotStore:    store,
-		ChannelCapacity:  4,
 		DeltaCheckpoints: true,
 	})
-	b.Source("src", NewSliceSourceFactory(genEvents(600, 6))).
-		Process("pace", func() Operator { return &cpTrigger{every: 60, job: &jobRef} }).
+	b.Source("src", triggerAfter(NewSliceSourceFactory(genEvents(600, 6)), 60, false, &jobRef)).
 		KeyBy(func(e Event) string { return e.Key }).
 		ProcessWith("count", func() Operator { return &countOperator{} }, 2).
 		Sink("out", sink.Factory())

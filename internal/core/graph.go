@@ -165,13 +165,13 @@ type Config struct {
 	BackendFactory func(nodeName string, instance int) (state.Backend, error)
 	// SnapshotStore persists checkpoints; nil disables checkpointing.
 	SnapshotStore SnapshotStore
-	// CheckpointEvery triggers a checkpoint after this many source records
-	// per source instance (deterministic, clock-free). 0 disables automatic
-	// checkpoints (manual TriggerCheckpoint still works when a store is set).
+	// CheckpointEvery requests a checkpoint after every this many records of
+	// each source instance (clock-free); a request made while a checkpoint
+	// awaits acks is coalesced into it, and one made while the store is
+	// still completing the previous checkpoint is skipped. 0 disables
+	// automatic checkpoints (manual TriggerCheckpoint still works when a
+	// store is set).
 	CheckpointEvery int
-	// AtLeastOnce selects unaligned barriers (no channel blocking); the
-	// default is aligned exactly-once barriers.
-	AtLeastOnce bool
 	// SnapshotRetries is how many extra attempts a failed snapshot Save gets
 	// before the checkpoint is aborted (the job keeps running and the next
 	// barrier subsumes the aborted checkpoint). Default 2; negative disables

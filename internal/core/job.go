@@ -28,28 +28,32 @@ type Job struct {
 	sources   []*sourceInstance
 	instances []*instance
 
-	// Checkpointing.
-	cpRequest chan barrierMark // external/auto triggers, coalesced
-	cpSeq     atomic.Int64
-	acks      chan ackMsg
-	inflight  *checkpointInflight
+	// Checkpointing. A request starts its checkpoint under inflight.mu in
+	// the caller's goroutine and publishes the barrier here; each source
+	// emits it at its next Collect or CollectBatch, or before its EOS. Each
+	// participant acks in its own goroutine, and the last ack sends the
+	// checkpoint to settle, which completes or aborts it in the store.
+	barrier  atomic.Pointer[barrierMark]
+	inflight *checkpointInflight
+	// settled holds two: while a checkpoint settles only a savepoint can
+	// start, and nothing starts after a savepoint.
+	settled   chan settlement
 	restoreCP int64 // checkpoint to restore from; <0 means fresh
 
 	started atomic.Bool
 	// physDone flips once buildPhysical has wired instances, publishing the
 	// instance slices to concurrent readers (the introspection server).
-	physDone  atomic.Bool
-	cancel    context.CancelFunc
-	drainDone chan struct{}
+	physDone atomic.Bool
+	cancel   context.CancelFunc
 	// failCh carries an externally injected failure (Job.Fail); Run returns
 	// it after shutdown, so fault injectors can crash a job mid-flight.
 	failCh chan error
 
 	// LastCheckpoint is the ID of the most recently completed checkpoint.
 	lastCheckpoint atomic.Int64
-	// savepointStopped flips when a stop-with-savepoint barrier halts a
-	// source mid-stream, distinguishing that exit from a natural
-	// end-of-stream once Run returns.
+	// savepointStopped flips when a source stops at a savepoint barrier,
+	// distinguishing that exit from a natural end-of-stream once Run
+	// returns.
 	savepointStopped atomic.Bool
 	// abortedCP counts checkpoints abandoned because an instance's snapshot
 	// failed; saveFailures counts the individual failed snapshot attempts.
@@ -57,33 +61,25 @@ type Job struct {
 	// aborted checkpoint.
 	abortedCP    atomic.Int64
 	saveFailures atomic.Int64
-	// deltaChainLen counts completed delta checkpoints since the last
-	// completed full one; the coordinator forces a full snapshot once the
-	// chain reaches FullSnapshotEvery-1. Only the coordinator goroutine
-	// touches it.
-	deltaChainLen int
-}
-
-type ackMsg struct {
-	cp         int64
-	instanceID string
-	bytes      int64
-	savepoint  bool
-	// failed marks a snapshot that could not be taken or persisted; the
-	// coordinator aborts the whole checkpoint on the first failed ack.
-	failed bool
-	// files lists backend files the instance linked into the checkpoint
-	// (SSTable reuse); they become part of the checkpoint metadata.
-	files []string
 }
 
 type checkpointInflight struct {
-	mu      sync.Mutex
-	active  bool
-	id      int64
-	pending map[string]bool
-	bytes   int64
-	save    bool
+	mu sync.Mutex
+	// open admits requests: set once Run has restored the job, cleared at
+	// the first source's EOS and when Run returns.
+	open bool
+	// seq is the last checkpoint ID handed out.
+	seq int64
+	// active marks checkpoint id as awaiting acks from pending; settling
+	// counts fully acked checkpoints settle has yet to finish.
+	active   bool
+	id       int64
+	pending  map[string]bool
+	settling int
+	// failed names the first participant whose snapshot failed ("" = none).
+	failed string
+	bytes  int64
+	save   bool
 	// deltaBase is the completed checkpoint this one is a delta of (0 =
 	// full); files accumulates linked backend files from instance acks.
 	deltaBase int64
@@ -96,12 +92,16 @@ type checkpointInflight struct {
 	// completes (a later checkpoint subsumes earlier aborted ones).
 	waiters map[int64][]chan struct{}
 	// pendingSave records a savepoint request that arrived while another
-	// checkpoint was in flight. The coordinator re-initiates it when the
-	// in-flight checkpoint completes or aborts, so an accepted savepoint is
-	// never silently coalesced away — callers that got `true` from
-	// TriggerSavepoint can rely on the job eventually stopping (unless the
-	// stream ends first).
+	// checkpoint awaited acks. It starts at the last ack of the checkpoint
+	// then in flight, so an accepted savepoint is never coalesced away.
 	pendingSave bool
+	// published is closed, and replaced, each time a barrier is published:
+	// a source that reaches its EOS with a savepoint held waits on it.
+	published chan struct{}
+	// deltaChainLen counts completed delta checkpoints since the last
+	// completed full one; a full snapshot is forced once the chain reaches
+	// FullSnapshotEvery-1.
+	deltaChainLen int
 }
 
 func newJob(cfg Config, g *Graph) *Job {
@@ -110,11 +110,9 @@ func newJob(cfg Config, g *Graph) *Job {
 		graph:     g,
 		logger:    log.New(io.Discard, "", 0),
 		metrics:   metrics.NewRegistry(),
-		cpRequest: make(chan barrierMark, 8),
-		acks:      make(chan ackMsg, 256),
-		inflight:  &checkpointInflight{waiters: make(map[int64][]chan struct{})},
+		inflight:  &checkpointInflight{waiters: make(map[int64][]chan struct{}), published: make(chan struct{})},
+		settled:   make(chan settlement, 2),
 		restoreCP: -1,
-		drainDone: make(chan struct{}),
 		failCh:    make(chan error, 1),
 	}
 	j.lastCheckpoint.Store(-1)
@@ -152,7 +150,7 @@ func (j *Job) NumKeyGroups() int { return j.cfg.NumKeyGroups }
 func (j *Job) LastCheckpoint() int64 { return j.lastCheckpoint.Load() }
 
 // SavepointStopped reports whether a stop-with-savepoint barrier halted the
-// job's sources mid-stream. Meaningful once Run has returned: true means the
+// job's sources. Meaningful once Run has returned: true means the
 // exit was a savepoint stop (no final watermark, open windows preserved in
 // state), false means the stream ended naturally or the run failed. Note the
 // savepoint itself may still have aborted (snapshot failure) — check
@@ -208,7 +206,6 @@ type sourceInstance struct {
 	idx        int
 	id         string
 	outs       []*outEdge
-	barrierReq chan barrierMark
 	src        Source
 	gen        eventtime.WatermarkGenerator
 	restore    []byte
@@ -243,8 +240,10 @@ type sourceCtx struct {
 	// mid-stream: the subsequent EOS must not drain (no final watermark, no
 	// window flushes) so a restore resumes exactly.
 	savepointStop bool
-	count         int
-	lastWM        int64
+	// lastBarrier is the last published barrier this source emitted.
+	lastBarrier *barrierMark
+	count       int
+	lastWM      int64
 }
 
 // flush ships every open batch as a Collect or CollectBatch call returns: the
@@ -300,23 +299,10 @@ func (c *sourceCtx) Collect(e Event) bool { return c.CollectBatch([]Event{e}) }
 // records as if each record were collected alone. Open batches ship before
 // the call returns.
 func (c *sourceCtx) CollectBatch(events []Event) bool {
-	if c.Stopped() {
-		return false
-	}
-	// Barrier injection point: a pending barrier is emitted *before* the
+	// Barrier injection point: a published barrier is emitted *before* the
 	// next element so the snapshot offset excludes it.
-	select {
-	case b := <-c.si.barrierReq:
-		if !c.si.emitBarrier(c.runCtx, b) {
-			c.stopped = true
-			return false
-		}
-		if b.Savepoint {
-			c.stopped = true
-			c.savepointStop = true
-			return false
-		}
-	default:
+	if c.Stopped() || !c.injectBarrier() {
+		return false
 	}
 	for len(events) > 0 {
 		// Chunk up to the next per-record obligation boundary so each
@@ -388,6 +374,53 @@ func (c *sourceCtx) CollectBatch(events []Event) bool {
 	return c.flush()
 }
 
+// injectBarrier emits the published barrier unless this source already has,
+// and reports whether the source may go on: false once a savepoint barrier
+// stopped it or the job was cancelled.
+func (c *sourceCtx) injectBarrier() bool {
+	b := c.si.job.barrier.Load()
+	if b == nil || b == c.lastBarrier {
+		return true
+	}
+	c.lastBarrier = b
+	if !c.si.emitBarrier(c.runCtx, *b) {
+		c.stopped = true
+		return false
+	}
+	if b.Savepoint {
+		c.stopped = true
+		c.savepointStop = true
+		return false
+	}
+	return true
+}
+
+// finalBarrier runs before the source's EOS. Under the lock requests take,
+// it closes the job to new ones; it then emits the barrier they published
+// and waits for a savepoint held behind an in-flight checkpoint. So every
+// request accepted before this EOS is emitted before it. It returns false
+// only when the job was cancelled.
+func (c *sourceCtx) finalBarrier() bool {
+	f := c.si.job.inflight
+	for {
+		f.mu.Lock()
+		f.open = false
+		held, published := f.pendingSave, f.published
+		f.mu.Unlock()
+		if !c.injectBarrier() {
+			return c.savepointStop
+		}
+		if !held {
+			return true
+		}
+		select {
+		case <-published:
+		case <-c.runCtx.Done():
+			return false
+		}
+	}
+}
+
 // sendSlice routes a slice of records down every out edge through the bulk
 // path, bumping the out counter once.
 func (c *sourceCtx) sendSlice(events []Event) bool {
@@ -424,11 +457,11 @@ func (s *sourceInstance) emitBarrier(ctx context.Context, b barrierMark) bool {
 	if snapErr == nil {
 		var data []byte
 		if data, snapErr = encodeInstanceSnapshot(instanceSnapshot{SourceOffset: offset}); snapErr == nil {
-			s.job.saveAndAck(ctx, b, s.id, data)
+			s.job.saveAndAck(ctx, b, s.id, data, nil)
 		}
 	}
 	if snapErr != nil {
-		s.job.failCheckpoint(b, s.id, snapErr)
+		s.job.ack(ctx, b.ID, s.id, 0, nil, snapErr)
 	}
 	for _, o := range s.outs {
 		if !o.broadcastCtl(ctx, message{kind: msgBarrier, barrier: b}) {
@@ -458,21 +491,8 @@ func (s *sourceInstance) run(ctx context.Context) error {
 	if err := s.src.Run(sctx); err != nil {
 		return fmt.Errorf("%s: %w", s.id, err)
 	}
-	if ctx.Err() != nil {
+	if ctx.Err() != nil || !sctx.finalBarrier() {
 		return ctx.Err()
-	}
-	// Drain pending barriers (e.g. a savepoint that stopped the source, or a
-	// checkpoint initiated as the stream ended) before closing the stream.
-drain:
-	for {
-		select {
-		case b := <-s.barrierReq:
-			if !s.emitBarrier(ctx, b) {
-				return ctx.Err()
-			}
-		default:
-			break drain
-		}
 	}
 	if sctx.savepointStop {
 		s.job.savepointStopped.Store(true)
@@ -508,7 +528,6 @@ func (j *Job) buildPhysical() error {
 					node:       n,
 					idx:        i,
 					id:         fmt.Sprintf("%s-%d", n.name, i),
-					barrierReq: make(chan barrierMark, 4),
 					src:        n.sourceFac(i, n.parallelism),
 					outCounter: j.outCounter(n.name),
 					tracer:     j.cfg.Tracer,
@@ -668,7 +687,7 @@ func (j *Job) loadRestoreSnapshots() error {
 		}
 		s.restore = data
 	}
-	j.cpSeq.Store(j.restoreCP + 1)
+	j.inflight.seq = j.restoreCP + 1
 	return nil
 }
 
@@ -734,6 +753,7 @@ func (j *Job) Run(ctx context.Context) error {
 	if err := j.loadRestoreSnapshots(); err != nil {
 		return err
 	}
+	j.setOpen(true)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -741,10 +761,8 @@ func (j *Job) Run(ctx context.Context) error {
 
 	errCh := make(chan error, len(j.instances)+len(j.sources))
 	var wg sync.WaitGroup
-
-	// Checkpoint coordinator.
-	coordDone := make(chan struct{})
-	go j.coordinate(runCtx, coordDone)
+	settleDone := make(chan struct{})
+	go j.settle(runCtx, settleDone)
 
 	// runGuarded converts operator panics into job failures: a panicking
 	// instance fails the job (and a supervisor may restart it from the last
@@ -772,8 +790,9 @@ func (j *Job) Run(ctx context.Context) error {
 	}
 
 	wg.Wait()
-	close(j.drainDone)
-	<-coordDone
+	j.setOpen(false)
+	close(j.settled)
+	<-settleDone
 	cancel()
 	select {
 	case err := <-errCh:
@@ -809,237 +828,257 @@ func (j *Job) Fail(err error) {
 	j.Stop()
 }
 
-// requestCheckpoint asks the coordinator to start a checkpoint and reports
-// whether the request was accepted. The send is non-blocking by design —
-// sources call this from their hot path — so a full request queue rejects
-// rather than stalls; callers that must not lose the request (a rescale's
-// savepoint trigger) retry on false instead of assuming the checkpoint will
-// happen.
-func (j *Job) requestCheckpoint(savepoint bool) bool {
-	select {
-	case j.cpRequest <- barrierMark{Savepoint: savepoint}:
-		return true
-	default:
-		return false
-	}
+// setOpen admits (or stops admitting) checkpoint requests.
+func (j *Job) setOpen(open bool) {
+	j.inflight.mu.Lock()
+	j.inflight.open = open
+	j.inflight.mu.Unlock()
 }
 
-// TriggerCheckpoint manually starts a checkpoint (no-op without a store). It
-// returns whether the request was accepted; false means the coordinator's
-// request queue was full and the caller should retry.
+// requestCheckpoint implements both triggers: under inflight.mu, in the
+// caller's goroutine, it starts the checkpoint and publishes its barrier.
+func (j *Job) requestCheckpoint(savepoint bool) bool {
+	f := j.inflight
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case j.cfg.SnapshotStore == nil || !f.open || f.save:
+		// After a savepoint's barrier the sources are stopping.
+		return false
+	case f.active:
+		if savepoint {
+			f.pendingSave = true
+		}
+	case !savepoint && f.settling > 0:
+		// A checkpoint may be a delta of the last completed one, so it
+		// waits until the store has settled the one before; a savepoint is
+		// always full.
+		return false
+	default:
+		j.initiate(savepoint)
+	}
+	return true
+}
+
+// TriggerCheckpoint starts a checkpoint; if one awaits acks, the request
+// is coalesced into it. Every source emits the barrier before its next
+// record or before its EOS, so a call from a source's goroutine lands it
+// right before that instance's next record. It returns false, and no
+// checkpoint follows, when the job has no SnapshotStore, Run has not
+// restored it yet, a source has reached end of stream, Run has returned,
+// a savepoint has started, or the previous checkpoint is still being
+// completed in the store; a caller that needs the checkpoint retries.
 func (j *Job) TriggerCheckpoint() bool { return j.requestCheckpoint(false) }
 
-// TriggerSavepoint starts a final checkpoint and stops the sources once the
-// barrier is emitted; the pipeline then drains and Run returns. The
-// savepoint's checkpoint ID is reported via LastCheckpoint after completion.
-// It returns whether the request was accepted; false means the request queue
-// was full and the savepoint will NOT happen unless retried. An accepted
-// savepoint is never dropped: if another checkpoint is in flight when the
-// request is dequeued, the savepoint is held and initiated as soon as the
-// in-flight checkpoint completes or aborts.
+// TriggerSavepoint starts a final checkpoint: each source stops as it emits
+// the barrier, open windows stay in state, and Run returns with
+// SavepointStopped true; LastCheckpoint reports the savepoint once it
+// completes. Requested while another checkpoint awaits acks, it is held and
+// starts at the last ack of the checkpoint then in flight, still before
+// every source's EOS. It returns false, and no savepoint follows, when the
+// job has no SnapshotStore, Run has not restored it yet, a source has
+// reached end of stream, Run has returned, or a savepoint has already
+// started.
 func (j *Job) TriggerSavepoint() bool { return j.requestCheckpoint(true) }
 
-// coordinate runs the checkpoint coordinator: it serialises checkpoint
-// initiation and completes checkpoints as acks arrive. Once the job's
-// instances have all exited, remaining acks are drained so a checkpoint whose
-// snapshots all landed still completes.
-func (j *Job) coordinate(ctx context.Context, done chan struct{}) {
-	defer close(done)
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-j.drainDone:
-			for {
-				select {
-				case a := <-j.acks:
-					j.processAck(a)
-				default:
-					return
-				}
-			}
-		case req := <-j.cpRequest:
-			j.initiateCheckpoint(ctx, req)
-		case a := <-j.acks:
-			if j.processAck(a) {
-				// A savepoint arrived while that checkpoint was in flight;
-				// start it now that the slot is free.
-				j.initiateCheckpoint(ctx, barrierMark{Savepoint: true})
-			}
-		}
+// initiate starts checkpoint seq+1 and publishes its barrier. Called with
+// inflight.mu held and no checkpoint awaiting acks.
+func (j *Job) initiate(savepoint bool) {
+	f := j.inflight
+	f.seq++
+	f.active, f.id, f.save = true, f.seq, savepoint
+	f.failed, f.bytes, f.files, f.deltaBase = "", 0, nil, 0
+	if savepoint {
+		f.pendingSave = false
 	}
-}
-
-func (j *Job) initiateCheckpoint(ctx context.Context, req barrierMark) {
-	if j.cfg.SnapshotStore == nil {
-		return
-	}
-	j.inflight.mu.Lock()
-	if j.inflight.active {
-		// Coalesce concurrent checkpoint requests — but hold a savepoint for
-		// re-initiation, because dropping it would leave a TriggerSavepoint
-		// caller waiting for a stop that never comes.
-		if req.Savepoint {
-			j.inflight.pendingSave = true
-		}
-		j.inflight.mu.Unlock()
-		return
-	}
-	if req.Savepoint {
-		j.inflight.pendingSave = false
-	}
-	id := j.cpSeq.Add(1)
-	j.inflight.active = true
-	j.inflight.id = id
-	j.inflight.save = req.Savepoint
-	j.inflight.bytes = 0
-	j.inflight.files = nil
-	j.inflight.deltaBase = 0
 	// Delta selection: base on the last *completed* checkpoint (guaranteed
 	// restorable; also naturally forces the first post-restore checkpoint
 	// full, since lastCheckpoint starts at -1 in a new incarnation), unless
 	// the chain has reached its bound. Savepoints are always full — they are
 	// the rescale/portability format.
-	if j.cfg.DeltaCheckpoints && !req.Savepoint {
-		if base := j.lastCheckpoint.Load(); base > 0 && j.deltaChainLen+1 < j.cfg.FullSnapshotEvery {
-			j.inflight.deltaBase = base
+	if j.cfg.DeltaCheckpoints && !savepoint {
+		if base := j.lastCheckpoint.Load(); base > 0 && f.deltaChainLen+1 < j.cfg.FullSnapshotEvery {
+			f.deltaBase = base
 		}
 	}
 	if j.cfg.Instrument {
-		j.inflight.started = nanotime()
+		f.started = nanotime()
 	}
 	if j.cfg.Tracer != nil {
-		j.inflight.span = j.cfg.Tracer.Begin("checkpoint", "", j.cfg.Name).SetInt("checkpoint", id)
-		if req.Savepoint {
-			j.inflight.span.SetAttr("savepoint", "true")
+		f.span = j.cfg.Tracer.Begin("checkpoint", "", j.cfg.Name).SetInt("checkpoint", f.id)
+		if savepoint {
+			f.span.SetAttr("savepoint", "true")
 		}
 	}
-	j.inflight.pending = make(map[string]bool, len(j.instances)+len(j.sources))
+	f.pending = make(map[string]bool, len(j.instances)+len(j.sources))
 	for _, in := range j.instances {
-		j.inflight.pending[in.id] = true
+		f.pending[in.id] = true
 	}
 	for _, s := range j.sources {
-		j.inflight.pending[s.id] = true
+		f.pending[s.id] = true
 	}
-	deltaBase := j.inflight.deltaBase
-	j.inflight.mu.Unlock()
-	b := barrierMark{ID: id, Savepoint: req.Savepoint, DeltaBase: deltaBase}
-	for _, s := range j.sources {
-		select {
-		case s.barrierReq <- b:
-		case <-ctx.Done():
-			return
+	j.barrier.Store(&barrierMark{ID: f.id, Savepoint: savepoint, DeltaBase: f.deltaBase})
+	close(f.published)
+	f.published = make(chan struct{})
+}
+
+// ack records one participant's part of checkpoint cp, in the
+// participant's goroutine: the bytes it saved and the backend files it
+// linked (SSTable reuse), or the error that kept its snapshot from being
+// taken or persisted. A failure aborts the checkpoint, not the job. The last
+// ack frees the slot and hands the checkpoint to settle; no new checkpoint
+// starts before then, so no source can skip a barrier. A held savepoint
+// starts right there. Acks after the job was cancelled are ignored: a
+// crashed job completes nothing.
+func (j *Job) ack(ctx context.Context, cp int64, instanceID string, bytes int64, files []string, err error) {
+	if err != nil {
+		j.saveFailures.Add(1)
+		if j.cfg.Instrument {
+			j.metrics.Counter("checkpoint.save_failures").Inc()
 		}
+		j.logger.Printf("checkpoint %d: %s: snapshot failed: %v", cp, instanceID, err)
+	}
+	if ctx.Err() != nil {
+		return
+	}
+	f := j.inflight
+	f.mu.Lock()
+	if !f.active || cp != f.id || !f.pending[instanceID] {
+		f.mu.Unlock()
+		return
+	}
+	delete(f.pending, instanceID)
+	if err != nil {
+		if f.failed == "" {
+			f.failed = instanceID
+		}
+	} else {
+		f.bytes += bytes
+		f.files = append(f.files, files...)
+	}
+	if len(f.pending) > 0 {
+		f.mu.Unlock()
+		return
+	}
+	f.active = false
+	f.settling++
+	st := settlement{
+		meta: CheckpointMeta{
+			ID:        f.id,
+			JobName:   j.cfg.Name,
+			Savepoint: f.save,
+			Bytes:     f.bytes,
+			Parent:    f.deltaBase,
+			Files:     sortedUnique(f.files),
+		},
+		failedAt: f.failed,
+		started:  f.started,
+		span:     f.span,
+	}
+	f.span = nil
+	held := f.pendingSave
+	f.mu.Unlock()
+	// Sent before a held savepoint starts, so settle sees checkpoints in ID
+	// order; settled has room, so the send does not block.
+	j.settled <- st
+	if held {
+		// A periodic request may have started a checkpoint since the unlock;
+		// then the savepoint stays held until that one's last ack.
+		f.mu.Lock()
+		if f.pendingSave && !f.active {
+			j.initiate(true)
+		}
+		f.mu.Unlock()
 	}
 }
 
-// processAck folds one instance ack into the in-flight checkpoint. The
-// return value reports whether a held savepoint should be initiated now that
-// the in-flight slot is free (completion or abort of a non-savepoint
-// checkpoint with pendingSave set).
-func (j *Job) processAck(a ackMsg) bool {
-	j.inflight.mu.Lock()
-	if !j.inflight.active || a.cp != j.inflight.id {
-		j.inflight.mu.Unlock()
-		return false
-	}
-	if a.failed {
-		// Abort-and-subsume: abandon this checkpoint, discard its partial
-		// snapshots, and keep the job running — the next barrier starts a
-		// fresh checkpoint that subsumes it. Late acks for the aborted ID
-		// fall through the active/id guard above.
-		j.inflight.active = false
-		// An aborted savepoint already stopped the sources, so a held
-		// follow-up savepoint has nothing left to snapshot — drop it.
-		resume := j.inflight.pendingSave && !j.inflight.save
-		j.inflight.pendingSave = false
-		span := j.inflight.span
-		j.inflight.span = nil
-		j.inflight.mu.Unlock()
-		j.abortedCP.Add(1)
-		if j.cfg.Instrument {
-			j.metrics.Counter("checkpoint.aborted").Inc()
-		}
-		span.SetAttr("aborted", "true").End()
-		if d, ok := j.cfg.SnapshotStore.(DiscardableStore); ok {
-			if err := d.Discard(a.cp); err != nil {
-				j.logger.Printf("checkpoint %d: discard: %v", a.cp, err)
+// settlement is a checkpoint every participant has acked, on its way to
+// the store.
+type settlement struct {
+	meta CheckpointMeta
+	// failedAt names the first participant whose snapshot failed.
+	failedAt string
+	started  int64
+	span     *obsv.Span
+}
+
+// settle hands each fully acked checkpoint to the store, in order: it
+// completes it or, if a snapshot failed, aborts it and discards its
+// partial snapshots. It runs beside the job, so the store's I/O stalls no
+// record.
+func (j *Job) settle(ctx context.Context, done chan<- struct{}) {
+	defer close(done)
+	for st := range j.settled {
+		meta := st.meta
+		completed := false
+		switch {
+		case ctx.Err() != nil:
+			// A cancelled job completes nothing.
+		case st.failedAt != "":
+			j.abortedCP.Add(1)
+			if j.cfg.Instrument {
+				j.metrics.Counter("checkpoint.aborted").Inc()
+			}
+			st.span.SetAttr("aborted", "true").End()
+			if d, ok := j.cfg.SnapshotStore.(DiscardableStore); ok {
+				if err := d.Discard(meta.ID); err != nil {
+					j.logger.Printf("checkpoint %d: discard: %v", meta.ID, err)
+				}
+			}
+			j.logger.Printf("checkpoint %d aborted (snapshot failed at %s)", meta.ID, st.failedAt)
+		default:
+			for _, in := range j.instances {
+				meta.InstanceIDs = append(meta.InstanceIDs, in.id)
+			}
+			for _, s := range j.sources {
+				meta.InstanceIDs = append(meta.InstanceIDs, s.id)
+			}
+			if j.cfg.Instrument {
+				j.metrics.Histogram("checkpoint.duration_ns").Observe(nanotime() - st.started)
+				j.metrics.Gauge("checkpoint.last_id").Set(meta.ID)
+				j.metrics.Gauge("checkpoint.last_bytes").Set(meta.Bytes)
+				j.metrics.Histogram("checkpoint.bytes").Observe(meta.Bytes)
+				j.metrics.Counter("checkpoint.completed").Inc()
+				if meta.Parent != 0 {
+					j.metrics.Counter("checkpoint.deltas").Inc()
+				}
+			}
+			st.span.SetInt("bytes", meta.Bytes)
+			st.span.End()
+			if err := j.cfg.SnapshotStore.Complete(meta); err != nil {
+				j.logger.Printf("checkpoint %d: complete: %v", meta.ID, err)
+			} else {
+				completed = true
 			}
 		}
-		j.logger.Printf("checkpoint %d aborted (snapshot failed at %s)", a.cp, a.instanceID)
-		return resume
-	}
-	delete(j.inflight.pending, a.instanceID)
-	j.inflight.bytes += a.bytes
-	j.inflight.files = append(j.inflight.files, a.files...)
-	if len(j.inflight.pending) > 0 {
-		j.inflight.mu.Unlock()
-		return false
-	}
-	meta := CheckpointMeta{
-		ID:        j.inflight.id,
-		JobName:   j.cfg.Name,
-		Savepoint: j.inflight.save,
-		Bytes:     j.inflight.bytes,
-		Parent:    j.inflight.deltaBase,
-		Files:     sortedUnique(j.inflight.files),
-	}
-	for _, in := range j.instances {
-		meta.InstanceIDs = append(meta.InstanceIDs, in.id)
-	}
-	for _, s := range j.sources {
-		meta.InstanceIDs = append(meta.InstanceIDs, s.id)
-	}
-	j.inflight.active = false
-	resume := j.inflight.pendingSave && !j.inflight.save
-	j.inflight.pendingSave = false
-	started := j.inflight.started
-	span := j.inflight.span
-	j.inflight.span = nil
-	j.inflight.mu.Unlock()
-	if j.cfg.Instrument {
-		j.metrics.Histogram("checkpoint.duration_ns").Observe(nanotime() - started)
-		j.metrics.Gauge("checkpoint.last_id").Set(meta.ID)
-		j.metrics.Gauge("checkpoint.last_bytes").Set(meta.Bytes)
-		j.metrics.Histogram("checkpoint.bytes").Observe(meta.Bytes)
-		j.metrics.Counter("checkpoint.completed").Inc()
-		if meta.Parent != 0 {
-			j.metrics.Counter("checkpoint.deltas").Inc()
+		f := j.inflight
+		f.mu.Lock()
+		f.settling--
+		if completed {
+			// Any completed full snapshot (savepoints included) restarts the
+			// chain: later deltas may base on it directly.
+			if meta.Parent != 0 {
+				f.deltaChainLen++
+			} else {
+				f.deltaChainLen = 0
+			}
+			j.lastCheckpoint.Store(meta.ID)
+		}
+		f.mu.Unlock()
+		if completed {
+			j.logger.Printf("checkpoint %d complete (%d bytes)", meta.ID, meta.Bytes)
+			j.notifyCheckpoint(meta.ID)
 		}
 	}
-	span.SetInt("bytes", meta.Bytes)
-	span.End()
-	if err := j.cfg.SnapshotStore.Complete(meta); err != nil {
-		j.logger.Printf("checkpoint %d: complete: %v", meta.ID, err)
-		return resume
-	}
-	if meta.Parent != 0 {
-		j.deltaChainLen++
-	} else {
-		// Any completed full snapshot (savepoints included) restarts the
-		// chain: later deltas may base on it directly.
-		j.deltaChainLen = 0
-	}
-	j.lastCheckpoint.Store(meta.ID)
-	j.logger.Printf("checkpoint %d complete (%d bytes)", meta.ID, meta.Bytes)
-	j.notifyCheckpoint(meta.ID)
-	return resume
 }
 
-// saveAndAck persists one instance snapshot (retrying transient store I/O
-// errors with a fixed backoff) and acknowledges it to the coordinator. A save
-// that still fails after the retry budget does not fail the instance: the
-// checkpoint is aborted via a failed ack and the job keeps running.
-func (j *Job) saveAndAck(ctx context.Context, b barrierMark, instanceID string, data []byte) {
-	j.saveAndAckFiles(ctx, b, instanceID, data, nil)
-}
-
-// saveAndAckFiles is saveAndAck for instances that also linked backend files
-// into the checkpoint: the names ride along in the ack so the coordinator can
-// record them in the checkpoint metadata. Linked files contribute no payload
-// bytes — a hard link writes no data, which is exactly the reuse the
-// checkpoint-bytes metric measures.
-func (j *Job) saveAndAckFiles(ctx context.Context, b barrierMark, instanceID string, data []byte, files []string) {
+// saveAndAck persists one instance snapshot, retrying transient store I/O
+// errors with a fixed backoff, and acks it with the backend files the
+// instance linked into the checkpoint. Linked files add no payload bytes — a
+// hard link writes no data, which is exactly the reuse the checkpoint-bytes
+// metric measures. A save that still fails after the retry budget acks the
+// failure: the checkpoint aborts and the job keeps running.
+func (j *Job) saveAndAck(ctx context.Context, b barrierMark, instanceID string, data []byte, files []string) {
 	if j.cfg.SnapshotStore == nil {
 		return
 	}
@@ -1059,34 +1098,5 @@ func (j *Job) saveAndAckFiles(ctx context.Context, b barrierMark, instanceID str
 			break
 		}
 	}
-	if err != nil {
-		j.failCheckpoint(b, instanceID, err)
-		return
-	}
-	j.sendAck(ackMsg{
-		cp: b.ID, instanceID: instanceID, bytes: int64(len(data)),
-		savepoint: b.Savepoint, files: files,
-	})
-}
-
-// failCheckpoint reports that an instance could not contribute its snapshot
-// to checkpoint b; the coordinator aborts the checkpoint and the job keeps
-// running (the next barrier subsumes it).
-func (j *Job) failCheckpoint(b barrierMark, instanceID string, err error) {
-	j.saveFailures.Add(1)
-	if j.cfg.Instrument {
-		j.metrics.Counter("checkpoint.save_failures").Inc()
-	}
-	j.logger.Printf("checkpoint %d: %s: snapshot failed: %v", b.ID, instanceID, err)
-	j.sendAck(ackMsg{cp: b.ID, instanceID: instanceID, failed: true, savepoint: b.Savepoint})
-}
-
-func (j *Job) sendAck(a ackMsg) {
-	select {
-	case j.acks <- a:
-	default:
-		// The coordinator drains acks continuously; a full channel here means
-		// the job is shutting down. Dropping the ack only delays checkpoint
-		// completion, never correctness.
-	}
+	j.ack(ctx, b.ID, instanceID, int64(len(data)), files, err)
 }

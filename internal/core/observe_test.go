@@ -424,9 +424,6 @@ func TestServeIntrospectionEndToEnd(t *testing.T) {
 		Tracer:                tr,
 		SnapshotStore:         store,
 		CheckpointEvery:       100,
-		// Keep the source close behind consumers so barriers are injected
-		// mid-stream deterministically.
-		ChannelCapacity: 4,
 	})
 	sink := NewCollectSink()
 	b.Source("src", NewSliceSourceFactory(genEvents(400, 4)), WithBoundedDisorder(0)).
@@ -488,7 +485,7 @@ func TestServeIntrospectionEndToEnd(t *testing.T) {
 func TestRescaleCheckpointTraced(t *testing.T) {
 	tr := obsv.NewTracer(16)
 	store := NewMemorySnapshotStore()
-	b := NewBuilder(Config{Name: "rescale", SnapshotStore: store, CheckpointEvery: 50, ChannelCapacity: 4})
+	b := NewBuilder(Config{Name: "rescale", SnapshotStore: store, CheckpointEvery: 50})
 	sink := NewCollectSink()
 	b.Source("src", NewSliceSourceFactory(genEvents(200, 8)), WithBoundedDisorder(0)).
 		KeyBy(func(e Event) string { return e.Key }).

@@ -163,8 +163,7 @@ func TestRandomPipelineWithCheckpointRestore(t *testing.T) {
 		nStages := 1 + rng.Intn(3)
 		spec := pipelineSpec{}
 		for i := 0; i < nStages; i++ {
-			// Deterministic per-element stages only (no filter: keeps the
-			// savepoint trigger's element count meaningful).
+			// Deterministic per-element stages only.
 			spec.stages = append(spec.stages, stageSpec{kind: []int{0, 2, 3}[rng.Intn(3)],
 				param: int64(1 + rng.Intn(7)), parallelism: 1})
 		}
@@ -176,24 +175,16 @@ func TestRandomPipelineWithCheckpointRestore(t *testing.T) {
 
 		store := NewMemorySnapshotStore()
 		run := func(restore int64, stopAt int, jobRef **Job) []int64 {
-			b := NewBuilder(Config{Name: fmt.Sprintf("prop-rec-%d", trial),
-				SnapshotStore: store, ChannelCapacity: 2})
+			b := NewBuilder(Config{Name: fmt.Sprintf("prop-rec-%d", trial), SnapshotStore: store})
 			events := make([]Event, len(inputs))
 			for i, v := range inputs {
 				events[i] = Event{Timestamp: int64(i), Value: v}
 			}
 			src := NewSliceSourceFactory(events)
 			if stopAt > 0 {
-				src = func(int, int) Source {
-					return &gatedSource{SliceSource: SliceSource{events: events, par: 1}, gate: stopAt}
-				}
+				src = triggerAfter(src, stopAt, true, jobRef)
 			}
-			s := b.Source("src", src)
-			if stopAt > 0 {
-				s = s.Process("trig", func() Operator { return &savepointTrigger{at: stopAt, job: jobRef} })
-			} else {
-				s = s.Map("trig", func(e Event) (Event, bool) { return e, true })
-			}
+			s := b.Source("src", src).Map("trig", func(e Event) (Event, bool) { return e, true })
 			for i, st := range spec.stages {
 				name := fmt.Sprintf("stage-%d", i)
 				switch st.kind {
@@ -259,33 +250,4 @@ func TestRandomPipelineWithCheckpointRestore(t *testing.T) {
 			}
 		}
 	}
-}
-
-// gatedSource is a SliceSource that, having emitted gate records, waits for a
-// checkpoint barrier to be pending before emitting more. The savepoint trigger
-// fires on record gate, and without the wait a fast source can reach end of
-// stream before the coordinator hands it the savepoint barrier.
-type gatedSource struct {
-	SliceSource
-	gate int
-}
-
-func (g *gatedSource) Run(ctx SourceContext) error {
-	pending := ctx.(*sourceCtx).si.barrierReq
-	for i, e := range g.own() {
-		if i == g.gate {
-			select {
-			case b := <-pending:
-				pending <- b // Collect injects it before the next record
-			case <-time.After(10 * time.Second):
-			}
-		}
-		if !ctx.Collect(e) {
-			return nil
-		}
-		g.mu.Lock()
-		g.offset = i + 1
-		g.mu.Unlock()
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/state"
 )
@@ -205,132 +204,5 @@ func TestRescaleMetaMarksRescaled(t *testing.T) {
 	}
 	if got := NodeParallelismIn(meta, "absent"); got != 0 {
 		t.Fatalf("NodeParallelismIn(absent) = %d, want 0", got)
-	}
-}
-
-func TestTriggerReportsRejectionWhenQueueFull(t *testing.T) {
-	// The request channel holds 8 entries; a job that isn't draining them
-	// (not yet running) must reject the 9th instead of silently dropping it.
-	b := NewBuilder(Config{Name: "trig", SnapshotStore: NewMemorySnapshotStore()})
-	sink := NewCollectSink()
-	b.Source("src", NewSliceSourceFactory(genEvents(10, 1))).Sink("out", sink.Factory())
-	j, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if !j.TriggerCheckpoint() {
-			t.Fatalf("request %d rejected with queue space available", i)
-		}
-	}
-	if j.TriggerCheckpoint() {
-		t.Fatal("9th request accepted on a full queue")
-	}
-	if j.TriggerSavepoint() {
-		t.Fatal("savepoint accepted on a full queue")
-	}
-}
-
-// slowStore delays Save so a checkpoint stays in flight long enough for a
-// savepoint request to arrive while it is active.
-type slowStore struct {
-	SnapshotStore
-	delay time.Duration
-}
-
-func (s *slowStore) Save(cp int64, id string, data []byte) error {
-	time.Sleep(s.delay)
-	return s.SnapshotStore.Save(cp, id, data)
-}
-
-// slowSavepointTrigger forwards events with a per-element pause (keeping the
-// stream alive long enough for a held savepoint to take effect) and requests
-// a savepoint after `at` elements.
-type slowSavepointTrigger struct {
-	BaseOperator
-	at   int
-	seen int
-	job  **Job
-}
-
-func (o *slowSavepointTrigger) ProcessElement(e Event, ctx Context) error {
-	time.Sleep(100 * time.Microsecond)
-	ctx.Emit(e)
-	o.seen++
-	if o.seen == o.at && *o.job != nil {
-		(*o.job).TriggerSavepoint()
-	}
-	return nil
-}
-
-func TestSavepointHeldBehindInflightCheckpoint(t *testing.T) {
-	// A savepoint requested while another checkpoint is in flight must not
-	// be coalesced away: it is held and initiated when the in-flight
-	// checkpoint settles, so the job still stops with a savepoint.
-	const n = 500
-	store := &slowStore{SnapshotStore: NewMemorySnapshotStore(), delay: 30 * time.Millisecond}
-	sink := NewCollectSink()
-	var jobRef *Job
-	// ChannelCapacity 8 keeps the source backpressured (alive) for the whole
-	// run; an unbounded burst would let it exhaust its slice and exit before
-	// the held savepoint's barrier could reach it.
-	b := NewBuilder(Config{Name: "held", SnapshotStore: store, CheckpointEvery: 40, ChannelCapacity: 8})
-	b.Source("src", NewSliceSourceFactory(genEvents(n, 2))).
-		// The savepoint lands right behind an automatic checkpoint request
-		// (CheckpointEvery=40, trigger at 45): with 30ms per snapshot save the
-		// checkpoint is still in flight when the savepoint is dequeued.
-		Process("mid", func() Operator { return &slowSavepointTrigger{at: 45, job: &jobRef} }).
-		Sink("out", sink.Factory())
-	j, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobRef = j
-	runJob(t, j)
-	if !j.SavepointStopped() {
-		t.Fatalf("savepoint was dropped: job ran to completion (%d events)", sink.Len())
-	}
-	if sink.Len() >= n {
-		t.Fatalf("savepoint did not stop the job early (%d events)", sink.Len())
-	}
-	meta, ok := store.Latest()
-	if !ok || !meta.Savepoint {
-		t.Fatalf("latest completed checkpoint is not the savepoint: %+v ok=%v", meta, ok)
-	}
-}
-
-func TestWhenCheckpointNotifies(t *testing.T) {
-	const n = 300
-	store := NewMemorySnapshotStore()
-	sink := NewCollectSink()
-	b := NewBuilder(Config{Name: "notify", SnapshotStore: store, CheckpointEvery: 50, ChannelCapacity: 4})
-	// Paced so the source is still running when the coordinator asks it to
-	// inject a requested barrier: a fast finite source can end first, and
-	// then no checkpoint happens at all.
-	b.Source("src", NewSliceSourceFactory(genEvents(n, 2))).
-		Map("pace", func(e Event) (Event, bool) {
-			time.Sleep(100 * time.Microsecond)
-			return e, true
-		}).
-		Sink("out", sink.Factory())
-	j, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := j.WhenCheckpoint(1)
-	runJob(t, j)
-	select {
-	case <-ch:
-	default:
-		t.Fatalf("waiter for checkpoint 1 never notified (last completed: %d)", j.LastCheckpoint())
-	}
-	// Registering for an already-completed ID returns a closed channel.
-	select {
-	case <-j.WhenCheckpoint(j.LastCheckpoint()):
-	default:
-		t.Fatal("waiter for an already-completed checkpoint not immediately closed")
-	}
-	if j.SavepointStopped() {
-		t.Fatal("naturally-finished job reports SavepointStopped")
 	}
 }

@@ -476,8 +476,7 @@ func (in *instance) handle(ctx context.Context, octx *opContext, m message) (boo
 	// records, watermarks and EOS markers are stashed until the barrier
 	// completes. (An EOS processed ahead of the stash would advance event
 	// time past records the snapshot has not yet seen replayed.)
-	if in.pendingBarrier != nil && !in.job.cfg.AtLeastOnce &&
-		m.kind != msgBarrier && in.barrierArrived[m.channel] {
+	if in.pendingBarrier != nil && m.kind != msgBarrier && in.barrierArrived[m.channel] {
 		in.stash = append(in.stash, m)
 		return false, nil
 	}
@@ -662,14 +661,6 @@ func (in *instance) handleBarrier(ctx context.Context, octx *opContext, channel 
 				in.barrierCount++
 			}
 		}
-		if in.job.cfg.AtLeastOnce {
-			// Unaligned mode forwards the barrier immediately.
-			for _, o := range in.outs {
-				if !o.broadcastCtl(ctx, message{kind: msgBarrier, barrier: b}) {
-					return false, ctx.Err()
-				}
-			}
-		}
 	}
 	if b.ID != in.pendingBarrier.ID {
 		return false, fmt.Errorf("overlapping checkpoints %d and %d", in.pendingBarrier.ID, b.ID)
@@ -684,7 +675,7 @@ func (in *instance) handleBarrier(ctx context.Context, octx *opContext, channel 
 	return in.completeBarrier(ctx, octx)
 }
 
-// completeBarrier snapshots, acks, forwards (aligned mode), and replays the
+// completeBarrier snapshots, acks, forwards the barrier, and replays the
 // stash. done=true when a stashed terminal message (the EOS of the last open
 // channel) ended the input during replay — callers must propagate it, or the
 // instance would outlive its inputs and shut down twice.
@@ -699,11 +690,9 @@ func (in *instance) completeBarrier(ctx context.Context, octx *opContext) (bool,
 		in.alignSpan = nil
 	}
 	in.snapshotAndAck(ctx, b)
-	if !in.job.cfg.AtLeastOnce {
-		for _, o := range in.outs {
-			if !o.broadcastCtl(ctx, message{kind: msgBarrier, barrier: b}) {
-				return false, ctx.Err()
-			}
+	for _, o := range in.outs {
+		if !o.broadcastCtl(ctx, message{kind: msgBarrier, barrier: b}) {
+			return false, ctx.Err()
 		}
 	}
 	in.pendingBarrier = nil
@@ -737,7 +726,7 @@ func (in *instance) snapshotAndAck(ctx context.Context, b barrierMark) {
 	data, files, err := in.captureSnapshot(b)
 	if err != nil {
 		span.SetAttr("error", err.Error()).End()
-		in.job.failCheckpoint(b, in.id, err)
+		in.job.ack(ctx, b.ID, in.id, 0, nil, err)
 		return
 	}
 	if instrumented {
@@ -747,11 +736,11 @@ func (in *instance) snapshotAndAck(ctx context.Context, b barrierMark) {
 	}
 	span.SetInt("bytes", int64(len(data)))
 	span.End()
-	in.job.saveAndAckFiles(ctx, b, in.id, data, files)
+	in.job.saveAndAck(ctx, b, in.id, data, files)
 }
 
 // captureSnapshot serialises the instance's contribution to checkpoint b:
-// a delta against b.DeltaBase when the coordinator asked for one and the
+// a delta against b.DeltaBase when the barrier asks for one and the
 // backend can deliver it, the backend's immutable files for file-native
 // checkpoints, or the full serialised image otherwise. The returned names
 // are files linked into the store; they ride the ack into the checkpoint

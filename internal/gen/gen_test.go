@@ -71,18 +71,16 @@ func TestGeneratedSourceReplayable(t *testing.T) {
 	store := core.NewMemorySnapshotStore()
 
 	var jobRef *core.Job
-	mkTrig := func() core.Operator { return &trigOp{at: 150, job: &jobRef} }
-
 	run := func(restore int64, withTrigger bool) *core.CollectSink {
 		sink := core.NewCollectSink()
-		b := core.NewBuilder(core.Config{Name: "gen", SnapshotStore: store, ChannelCapacity: 2})
-		s := b.Source("src", SourceFactory(spec))
+		b := core.NewBuilder(core.Config{Name: "gen", SnapshotStore: store})
+		src := SourceFactory(spec)
 		if withTrigger {
-			s = s.Process("mid", mkTrig)
-		} else {
-			s = s.Map("mid", func(e core.Event) (core.Event, bool) { return e, true })
+			src = savepointAfter(src, 150, &jobRef)
 		}
-		s.Sink("out", sink.Factory())
+		b.Source("src", src).
+			Map("mid", func(e core.Event) (core.Event, bool) { return e, true }).
+			Sink("out", sink.Factory())
 		j, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
@@ -110,20 +108,44 @@ func TestGeneratedSourceReplayable(t *testing.T) {
 	}
 }
 
-type trigOp struct {
-	core.BaseOperator
-	at   int
-	seen int
-	job  **core.Job
+// savepointAfter wraps a replayable source so that each instance calls
+// TriggerSavepoint from its own goroutine right after its n-th record: the
+// barrier lands right before the instance's next record however the rest
+// of the job is scheduled.
+func savepointAfter(f core.SourceFactory, n int, job **core.Job) core.SourceFactory {
+	return func(instance, par int) core.Source {
+		return &savepointSource{ReplayableSource: f(instance, par).(core.ReplayableSource), n: n, job: job}
+	}
 }
 
-func (o *trigOp) ProcessElement(e core.Event, ctx core.Context) error {
-	ctx.Emit(e)
-	o.seen++
-	if o.seen == o.at && *o.job != nil {
-		(*o.job).TriggerSavepoint()
+type savepointSource struct {
+	core.ReplayableSource
+	n   int
+	job **core.Job
+}
+
+func (s *savepointSource) Run(ctx core.SourceContext) error {
+	return s.ReplayableSource.Run(&savepointCtx{SourceContext: ctx, s: s})
+}
+
+// savepointCtx counts the records its source collects.
+type savepointCtx struct {
+	core.SourceContext
+	s    *savepointSource
+	seen int
+}
+
+func (c *savepointCtx) Collect(e core.Event) bool { return c.CollectBatch([]core.Event{e}) }
+
+func (c *savepointCtx) CollectBatch(events []core.Event) bool {
+	if !c.SourceContext.CollectBatch(events) {
+		return false
 	}
-	return nil
+	if c.seen < c.s.n && c.seen+len(events) >= c.s.n {
+		(*c.s.job).TriggerSavepoint()
+	}
+	c.seen += len(events)
+	return true
 }
 
 func TestDomainSpecs(t *testing.T) {

@@ -348,8 +348,9 @@ func (s *Supervisor) run(ctx context.Context, inc Incarnation) (runErr error, fi
 // Rescale asks the running incarnation to stop with a savepoint so that the
 // next one runs Node at parallelism p. It returns false when nothing was
 // requested: no incarnation is running, a rescale is already under way, p
-// is the current parallelism, or the job's checkpoint request queue was
-// full — a policy retries on its next decision.
+// is the current parallelism, or the job rejected the savepoint because it
+// has not restored yet, a source has reached end of stream or a savepoint
+// has already started — a policy retries on its next decision.
 func (s *Supervisor) Rescale(p int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -82,8 +82,8 @@ func baseline(t *testing.T, events []core.Event) []string {
 }
 
 // rescaleAfterFirstOutput is a Watch that asks for parallelism to once the
-// first incarnation has emitted a result, retrying while the job's request
-// queue is full.
+// first incarnation has emitted a result, retrying while the job rejects
+// the savepoint.
 func rescaleAfterFirstOutput(s *Supervisor, to int) func(context.Context, Incarnation) error {
 	return func(ctx context.Context, inc Incarnation) error {
 		if inc.Attempt != 0 {

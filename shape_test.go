@@ -2,9 +2,9 @@ package repro
 
 // Shape tests: each pins one comparative claim of the survey (DESIGN.md §1)
 // as who wins and by at least what margin, and logs the table EXPERIMENTS.md
-// quotes. `go test -run TestShape -v .` regenerates every table. Only E3 and
-// E10 compare wall time; they take the best of three runs and skip under the
-// race detector.
+// quotes. `go test -run TestShape -v .` regenerates every table. Only E10
+// compares timings: per-thread CPU time, best of three runs, skipped under
+// the race detector.
 
 import (
 	"context"
@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ import (
 func skipTimingUnderRace(t *testing.T) {
 	t.Helper()
 	if raceEnabled {
-		t.Skip("compares wall time, which the race detector distorts")
+		t.Skip("compares kernel speed, which the race detector distorts")
 	}
 }
 
@@ -339,8 +340,8 @@ func TestShapeE6IncrementalCheckpoint(t *testing.T) {
 //
 // The passive bound holds under sustained load below checkpoint capacity,
 // so the jobs are paced at about 40 records/ms. Unpaced, the source outruns
-// the checkpoint coordinator (requests made while a checkpoint is in flight
-// are dropped) and the replay reached nearly the whole stream. Paced, the
+// checkpoint completion (requests made while a checkpoint is in flight are
+// coalesced into it) and the replay reached nearly the whole stream. Paced, the
 // replay is at most the interval plus the records that flow while the next
 // checkpoint completes and the kill propagates, bounded here by a quarter
 // interval.
@@ -551,16 +552,20 @@ func TestShapeE10Vectorized(t *testing.T) {
 		values[i] = float64(i%1000) * 0.5
 	}
 	// nsPerValue runs one kernel over the stream, draining the trailing
-	// partial window as end of stream would.
+	// partial window as end of stream would, and charges it the CPU time of
+	// the thread it ran on, so time spent descheduled on a loaded box is not
+	// counted.
 	nsPerValue := func(process func([]float64) []float64, flush func() (float64, bool)) (float64, int) {
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
 		var windows int
 		ns := bestOf3(func() float64 {
-			start := time.Now()
+			start := threadCPU()
 			windows = len(process(values))
 			if _, ok := flush(); ok {
 				windows++
 			}
-			return float64(time.Since(start).Nanoseconds()) / float64(len(values))
+			return float64(threadCPU()-start) / float64(len(values))
 		})
 		return ns, windows
 	}
@@ -593,29 +598,25 @@ func TestShapeE13Rescale(t *testing.T) {
 		evs[i] = core.Event{Key: fmt.Sprintf("k%d", i%997), Timestamp: int64(i), Value: int64(1)}
 	}
 	store := core.NewMemorySnapshotStore()
-	// build wires src → mid → keyed count → sink. With savepointAt > 0, mid
-	// triggers a savepoint after that many records; otherwise it counts the
-	// records the source admits.
+	// build wires src → mid → keyed count → sink. With savepointAt > 0, the
+	// source triggers a savepoint after that many records; otherwise mid
+	// counts the records the source admits.
 	build := func(par, savepointAt int, admitted *atomic.Int64) (*core.Job, *core.CollectSink) {
 		sink := core.NewCollectSink()
-		b := core.NewBuilder(core.Config{Name: "e13", SnapshotStore: store, ChannelCapacity: 8})
-		s := b.Source("src", core.NewSliceSourceFactory(evs))
+		b := core.NewBuilder(core.Config{Name: "e13", SnapshotStore: store})
 		var job *core.Job
+		src := core.NewSliceSourceFactory(evs)
 		if savepointAt > 0 {
-			seen := 0
-			s = s.Map("mid", func(e core.Event) (core.Event, bool) {
-				if seen++; seen == savepointAt {
-					job.TriggerSavepoint()
+			src = savepointAfter(src, savepointAt, &job)
+		}
+		b.Source("src", src).
+			Map("mid", func(e core.Event) (core.Event, bool) {
+				if admitted != nil {
+					admitted.Add(1)
 				}
 				return e, true
-			})
-		} else {
-			s = s.Map("mid", func(e core.Event) (core.Event, bool) {
-				admitted.Add(1)
-				return e, true
-			})
-		}
-		s.KeyBy(func(e core.Event) string { return e.Key }).
+			}).
+			KeyBy(func(e core.Event) string { return e.Key }).
 			ProcessWith("count", func() core.Operator { return &shapeCountOp{} }, par).
 			Sink("out", sink.Factory())
 		j, err := b.Build()
