@@ -576,6 +576,8 @@ func (j *Job) buildPhysical() error {
 				inst.wmGauge = j.metrics.Gauge(pfx + "watermark")
 				inst.wmLag = j.metrics.Gauge(pfx + "watermark_lag_ms")
 				inst.busyNs = j.metrics.Counter(pfx + "busy_ns")
+				inst.timerNs = j.metrics.Counter(pfx + "timer_ns")
+				inst.timersFired = j.metrics.Counter(pfx + "timers_fired")
 				inst.latency = j.metrics.Histogram("node." + n.name + ".latency_ns")
 				inst.alignNs = j.metrics.Histogram("node." + n.name + ".align_ns")
 			}

@@ -35,6 +35,8 @@ func (j *Job) Describe() obsv.JobInfo {
 			if in.wmGauge != nil {
 				ii.Watermark = in.wmGauge.Value()
 				ii.WatermarkLagMs = in.wmLag.Value()
+				ii.TimersFired = in.timersFired.Value()
+				ii.TimerNs = in.timerNs.Value()
 			}
 			byNode[in.node] = append(byNode[in.node], ii)
 		}

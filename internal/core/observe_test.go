@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -512,5 +513,73 @@ func TestRescaleCheckpointTraced(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no rescale span recorded: %+v", spans)
+	}
+}
+
+// timerPerRecordOp registers an event-time timer at each record's timestamp
+// and counts the timers that fire.
+type timerPerRecordOp struct {
+	BaseOperator
+	fired *atomic.Int64
+}
+
+func (o *timerPerRecordOp) ProcessElement(e Event, ctx Context) error {
+	ctx.RegisterEventTimeTimer(e.Timestamp)
+	return nil
+}
+
+func (o *timerPerRecordOp) OnTimer(int64, Context) error {
+	o.fired.Add(1)
+	return nil
+}
+
+// TestInstrumentedJobCountsTimers: with Instrument on, each instance counts
+// the timers it fires and the time it spends firing them, and /jobs shows
+// both; with it off, neither counter exists.
+func TestInstrumentedJobCountsTimers(t *testing.T) {
+	for _, instrument := range []bool{true, false} {
+		var fired atomic.Int64
+		b := NewBuilder(Config{Name: "timers", Instrument: instrument})
+		b.Source("src", NewSliceSourceFactory(genEvents(400, 4)), WithBoundedDisorder(0)).
+			KeyBy(func(e Event) string { return e.Key }).
+			ProcessWith("tim", func() Operator { return &timerPerRecordOp{fired: &fired} }, 2).
+			Sink("out", NewCollectSink().Factory())
+		j, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runJob(t, j)
+		if fired.Load() != 400 {
+			t.Fatalf("fired %d timers, want 400", fired.Load())
+		}
+		counted := map[string]bool{}
+		j.Metrics().Each(metrics.Visitor{Counter: func(name string, c *metrics.Counter) {
+			if strings.HasSuffix(name, ".timers_fired") || strings.HasSuffix(name, ".timer_ns") {
+				counted[name] = c.Value() > 0
+			}
+		}})
+		var described int64
+		for _, n := range j.Describe().Nodes {
+			for _, in := range n.Instances {
+				described += in.TimersFired
+				if n.Name == "tim" && instrument && in.TimerNs <= 0 {
+					t.Fatalf("instance %s: timer_ns %d", in.ID, in.TimerNs)
+				}
+			}
+		}
+		if !instrument {
+			if len(counted) != 0 || described != 0 {
+				t.Fatalf("uninstrumented job has timer counters %v (/jobs: %d fired)", counted, described)
+			}
+			continue
+		}
+		if described != 400 {
+			t.Fatalf("/jobs reports %d timers fired, want 400", described)
+		}
+		for _, name := range []string{"node.tim.0.timers_fired", "node.tim.1.timers_fired", "node.tim.0.timer_ns", "node.tim.1.timer_ns"} {
+			if !counted[name] {
+				t.Fatalf("counter %s missing or zero; have %v", name, counted)
+			}
+		}
 	}
 }

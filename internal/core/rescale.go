@@ -128,9 +128,7 @@ func RescaleCheckpoint(store SnapshotStore, fromCP, toCP int64, nodeName string,
 		if err := ts.restore(snap.Timers); err != nil {
 			return stats, err
 		}
-		for e := range ts.set {
-			allTimers = append(allTimers, e)
-		}
+		ts.forEach(func(e timerEntry) { allTimers = append(allTimers, e) })
 	}
 	stats.Timers = len(allTimers)
 

@@ -302,17 +302,19 @@ type instance struct {
 
 	// Observability plumbing (nil / zero when Config.Instrument is off, so
 	// the hot paths stay branch-and-done).
-	queueDepth *metrics.Gauge     // node.<n>.<i>.queue_depth
-	wmGauge    *metrics.Gauge     // node.<n>.<i>.watermark
-	wmLag      *metrics.Gauge     // node.<n>.<i>.watermark_lag_ms
-	busyNs     *metrics.Counter   // node.<n>.<i>.busy_ns (useful-work time)
-	latency    *metrics.Histogram // node.<n>.latency_ns (marker end-to-end)
-	alignNs    *metrics.Histogram // node.<n>.align_ns (barrier alignment)
-	alignStart int64              // nanotime() stamp at first barrier arrival
-	tracer     *obsv.Tracer
-	batchSpan  *obsv.Span // open operator.process span, record-batch scoped
-	batchSize  int64
-	alignSpan  *obsv.Span
+	queueDepth  *metrics.Gauge     // node.<n>.<i>.queue_depth
+	wmGauge     *metrics.Gauge     // node.<n>.<i>.watermark
+	wmLag       *metrics.Gauge     // node.<n>.<i>.watermark_lag_ms
+	busyNs      *metrics.Counter   // node.<n>.<i>.busy_ns (useful-work time)
+	timerNs     *metrics.Counter   // node.<n>.<i>.timer_ns (firing timers, inside busy_ns)
+	timersFired *metrics.Counter   // node.<n>.<i>.timers_fired
+	latency     *metrics.Histogram // node.<n>.latency_ns (marker end-to-end)
+	alignNs     *metrics.Histogram // node.<n>.align_ns (barrier alignment)
+	alignStart  int64              // nanotime() stamp at first barrier arrival
+	tracer      *obsv.Tracer
+	batchSpan   *obsv.Span // open operator.process span, record-batch scoped
+	batchSize   int64
+	alignSpan   *obsv.Span
 
 	// Barrier alignment state.
 	pendingBarrier  *barrierMark
@@ -325,10 +327,6 @@ type instance struct {
 	// (stop-with-savepoint): the instance then terminates without firing
 	// open windows or emitting Close output.
 	nonDrainStop bool
-	// fired dedups re-registered timers within one watermark advance; it is
-	// allocated on first use and cleared (not freed) afterwards so steady
-	// window firing does not allocate per advance.
-	fired map[timerEntry]bool
 }
 
 // opContext implements Context for one instance; reused across callbacks.
@@ -596,38 +594,20 @@ func (in *instance) emitWatermarkProgress(ctx context.Context, octx *opContext, 
 	// Fire due timers until none remain: an OnTimer callback may register
 	// further timers at or below wm (cascades, e.g. session cleanup), which
 	// must fire within this same watermark advancement — at drain
-	// (MaxWatermark) there is no later watermark to catch them. fired guards
-	// against a callback re-registering its own identical (ts, key): the
-	// duplicate is dropped instead of looping forever.
-	// The dedup map lives on the instance and is cleared after use, so a
-	// steady stream of firing windows does not allocate one per advance.
-	fired := in.fired
-	for {
-		due := in.timers.due(wm)
-		if len(due) == 0 {
-			break
-		}
-		if fired == nil {
-			fired = make(map[timerEntry]bool, len(due))
-			in.fired = fired
-		}
-		for _, t := range due {
-			if fired[t] {
-				continue
-			}
-			fired[t] = true
-			octx.currentKey = t.Key
-			in.backend.SetCurrentKey(t.Key)
-			if err := in.op.OnTimer(t.TS, octx); err != nil {
-				return err
-			}
-			if octx.emitErr != nil {
-				return octx.emitErr
-			}
-		}
+	// (MaxWatermark) there is no later watermark to catch them. The timer
+	// service drops a re-registration of a timer this advance already
+	// popped, so a callback re-registering its own (ts, key) cannot loop.
+	var start int64
+	if in.timerNs != nil {
+		start = nanotime()
 	}
-	if len(fired) > 0 {
-		clear(fired)
+	err := in.fireTimers(octx, wm)
+	in.timers.endAdvance()
+	if in.timerNs != nil {
+		in.timerNs.Add(nanotime() - start)
+	}
+	if err != nil {
+		return err
 	}
 	if err := in.op.OnWatermark(wm, octx); err != nil {
 		return err
@@ -641,6 +621,29 @@ func (in *instance) emitWatermarkProgress(ctx context.Context, octx *opContext, 
 		}
 	}
 	return nil
+}
+
+// fireTimers fires every timer due at wm, cascades included.
+func (in *instance) fireTimers(octx *opContext, wm int64) error {
+	for {
+		due := in.timers.due(wm)
+		if len(due) == 0 {
+			return nil
+		}
+		for _, t := range due {
+			octx.currentKey = t.Key
+			in.backend.SetCurrentKey(t.Key)
+			if err := in.op.OnTimer(t.TS, octx); err != nil {
+				return err
+			}
+			if octx.emitErr != nil {
+				return octx.emitErr
+			}
+		}
+		if in.timersFired != nil {
+			in.timersFired.Add(int64(len(due)))
+		}
+	}
 }
 
 func (in *instance) handleBarrier(ctx context.Context, octx *opContext, channel int, b barrierMark) (bool, error) {

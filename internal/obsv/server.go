@@ -76,6 +76,10 @@ type InstanceInfo struct {
 	QueueCapacity  int    `json:"queue_capacity"`
 	Watermark      int64  `json:"watermark"`
 	WatermarkLagMs int64  `json:"watermark_lag_ms"`
+	// TimersFired and TimerNs count the event-time timers the instance
+	// fired and the time it spent firing them (part of its busy time).
+	TimersFired int64 `json:"timers_fired,omitempty"`
+	TimerNs     int64 `json:"timer_ns,omitempty"`
 }
 
 // EdgeInfo describes one logical graph connection.

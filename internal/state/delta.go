@@ -188,7 +188,7 @@ func (b *MemoryBackend) SnapshotDelta(base, id int64) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	data, err := EncodeDeltaOps(deltaOpsFor(dirty, b.get))
+	data, err := EncodeDeltaOps(deltaOpsFor(dirty, b.logical))
 	if err != nil {
 		return nil, false, err
 	}

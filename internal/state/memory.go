@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // MemoryBackend keeps all state on the heap, organised as
 // keyGroup -> stateName -> key -> value. It is the "internally managed"
 // backend of §3.1 (Flink-style in-memory state) and the default for jobs.
+// A map state's value for a key is its *mapRow; images hold it as a
+// map[string]any.
 type MemoryBackend struct {
 	numGroups  int
 	currentKey string
-	curGroup   int                         // key group of currentKey, hashed once per SetCurrentKey
+	curGroup   int                         // key group of currentKey, or -1 until a state needs it
 	groups     []map[string]map[string]any // group -> name -> key -> value
 
 	// Handles are memoized per state name: operators call e.g. State().Map(n)
@@ -32,23 +35,21 @@ func NewMemoryBackend(numGroups int) *MemoryBackend {
 	if numGroups <= 0 {
 		numGroups = DefaultKeyGroups
 	}
-	b := &MemoryBackend{
+	return &MemoryBackend{
 		numGroups:  numGroups,
+		curGroup:   -1,
 		groups:     make([]map[string]map[string]any, numGroups),
 		mapHandles: make(map[string]*memMap),
 		valHandles: make(map[string]*memValue),
 	}
-	b.curGroup = KeyGroupFor("", numGroups)
-	return b
 }
 
-// SetCurrentKey scopes subsequent state access.
+// SetCurrentKey scopes subsequent state access. It does not hash the key:
+// map state finds the key's row without its group.
 func (b *MemoryBackend) SetCurrentKey(key string) {
-	if key == b.currentKey {
-		return
+	if key != b.currentKey {
+		b.currentKey, b.curGroup = key, -1
 	}
-	b.currentKey = key
-	b.curGroup = KeyGroupFor(key, b.numGroups)
 }
 
 // CurrentKey returns the scoped key.
@@ -57,16 +58,19 @@ func (b *MemoryBackend) CurrentKey() string { return b.currentKey }
 // NumKeyGroups returns the key-group fan-out.
 func (b *MemoryBackend) NumKeyGroups() int { return b.numGroups }
 
-// groupOf resolves a key's group, reusing the hash done by SetCurrentKey for
-// the common scoped-access case.
+// groupOf resolves a key's group, hashing the current key at most once.
 func (b *MemoryBackend) groupOf(key string) int {
-	if key == b.currentKey {
-		return b.curGroup
+	if key != b.currentKey {
+		return KeyGroupFor(key, b.numGroups)
 	}
-	return KeyGroupFor(key, b.numGroups)
+	if b.curGroup < 0 {
+		b.curGroup = KeyGroupFor(key, b.numGroups)
+	}
+	return b.curGroup
 }
 
-func (b *MemoryBackend) slot(name, key string) (map[string]any, string) {
+// slot returns the key -> value map of name in key's group, creating it.
+func (b *MemoryBackend) slot(name, key string) map[string]any {
 	g := b.groupOf(key)
 	if b.groups[g] == nil {
 		b.groups[g] = make(map[string]map[string]any)
@@ -76,7 +80,7 @@ func (b *MemoryBackend) slot(name, key string) (map[string]any, string) {
 		m = make(map[string]any)
 		b.groups[g][name] = m
 	}
-	return m, key
+	return m
 }
 
 func (b *MemoryBackend) get(name, key string) (any, bool) {
@@ -84,20 +88,36 @@ func (b *MemoryBackend) get(name, key string) (any, bool) {
 	if b.groups[g] == nil {
 		return nil, false
 	}
-	m := b.groups[g][name]
-	if m == nil {
+	v, ok := b.groups[g][name][key]
+	return v, ok
+}
+
+// logical returns what the slot (name, key) holds as an image or a delta op
+// spells it.
+func (b *MemoryBackend) logical(name, key string) (any, bool) { return imageValue(b.get(name, key)) }
+
+// imageValue returns a stored value as images hold it: a map state's row as
+// a map[string]any, an empty row as absent.
+func imageValue(v any, ok bool) (any, bool) {
+	r, isRow := v.(*mapRow)
+	if !isRow {
+		return v, ok
+	}
+	if len(r.slots) == 0 {
 		return nil, false
 	}
-	v, ok := m[key]
-	return v, ok
+	m := make(map[string]any, len(r.slots))
+	for _, sl := range r.slots {
+		m[sl.key] = sl.val
+	}
+	return m, true
 }
 
 func (b *MemoryBackend) put(name, key string, v any) {
 	if b.delta != nil {
 		b.delta.touch(name, key)
 	}
-	m, k := b.slot(name, key)
-	m[k] = v
+	b.slot(name, key)[key] = v
 }
 
 func (b *MemoryBackend) del(name, key string) {
@@ -131,15 +151,16 @@ func (b *MemoryBackend) Map(name string) MapState {
 	h := b.mapHandles[name]
 	if h == nil {
 		h = &memMap{b: b, name: name}
+		h.reindex()
 		b.mapHandles[name] = h
 	}
 	return h
 }
 
-// invalidateHandles drops cached per-key lookups after bulk state swaps.
+// invalidateHandles rebuilds the map-state indexes after bulk state swaps.
 func (b *MemoryBackend) invalidateHandles() {
 	for _, h := range b.mapHandles {
-		h.cur, h.curKey, h.km = nil, "", nil
+		h.reindex()
 	}
 }
 
@@ -176,118 +197,191 @@ func (s *memList) Get() []any {
 
 func (s *memList) Clear() { s.b.del(s.name, s.b.currentKey) }
 
+// memMap is a map state. Every key's entries live in one row, found through
+// index with one probe and no key-group hash. A row emptied by Remove or
+// Clear stays in index and in its group's map, so the key's next window
+// reuses it; images, ForEachKey and delta ops skip it, and prune drops the
+// empty rows whenever the index has doubled since the last prune.
 type memMap struct {
-	b    *MemoryBackend
-	name string
-	// cur caches the inner map resolved for curKey, so repeated accesses for
-	// one record (the common Get-then-Put) descend the group/name/key maps
-	// once; km caches the group→(key→value) map for this state name so the
-	// per-record descent skips re-hashing the name. Clear resets cur; bulk
-	// restores invalidate both.
+	b       *MemoryBackend
+	name    string
+	index   map[string]*mapRow // key -> row, every row of this state
+	pruneAt int                // index size that triggers the next prune
+	// cur caches the row of curKey: one record's Get-then-Put probes once.
 	curKey string
-	cur    map[string]any
-	km     []map[string]any
-	// spare holds inner maps Remove emptied and dropped, for the next key
-	// that needs one: a window fire empties a key's map and a later record
-	// refills it, which would otherwise cost an allocation per key per
-	// window.
-	spare []map[string]any
+	cur    *mapRow
 }
 
-func (s *memMap) inner(create bool) map[string]any {
-	b := s.b
-	key := b.currentKey
+// mapRow holds one key's entries, sorted by sub-key. The first few live in
+// the row itself, so finding one loads no second object.
+type mapRow struct {
+	group  int
+	slots  []mapSlot // backed by inline until it outgrows it
+	inline [2]mapSlot
+}
+
+func newRow(group int) *mapRow {
+	r := &mapRow{group: group}
+	r.slots = r.inline[:0]
+	return r
+}
+
+type mapSlot struct {
+	key string
+	val any
+}
+
+// find returns the position of sub-key k in the row, or where it would go.
+func (r *mapRow) find(k string) (int, bool) {
+	if len(r.slots) <= len(r.inline) {
+		// A window operator asks again for the sub-key string it stored, and
+		// string equality tests the pointer before the bytes.
+		for i := range r.slots {
+			if r.slots[i].key == k {
+				return i, true
+			}
+		}
+	}
+	lo, hi := 0, len(r.slots)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r.slots[m].key < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(r.slots) && r.slots[lo].key == k
+}
+
+// minPrune is the smallest index size that triggers a prune.
+const minPrune = 64
+
+// reindex rebuilds index from the group maps, turning the plain maps a
+// restore, import or delta left there into rows.
+func (s *memMap) reindex() {
+	s.index = make(map[string]*mapRow)
+	s.cur, s.curKey = nil, ""
+	for g, names := range s.b.groups {
+		kv := names[s.name]
+		for k, v := range kv {
+			r, ok := v.(*mapRow)
+			if !ok {
+				m, isMap := v.(map[string]any)
+				if !isMap {
+					continue
+				}
+				r = newRow(g)
+				for sub, val := range m {
+					r.slots = append(r.slots, mapSlot{sub, val})
+				}
+				slices.SortFunc(r.slots, func(x, y mapSlot) int { return strings.Compare(x.key, y.key) })
+				kv[k] = r
+			}
+			s.index[k] = r
+		}
+	}
+}
+
+// row returns the current key's row, creating an empty one if asked.
+func (s *memMap) row(create bool) *mapRow {
+	key := s.b.currentKey
 	if s.cur != nil && s.curKey == key {
 		return s.cur
 	}
-	if s.km == nil {
-		s.km = make([]map[string]any, b.numGroups)
-	}
-	g := b.groupOf(key)
-	km := s.km[g]
-	if km == nil {
-		if b.groups[g] != nil {
-			km = b.groups[g][s.name]
+	r := s.index[key]
+	if r == nil {
+		if !create {
+			return nil
 		}
-		if km == nil {
-			if !create {
-				return nil
-			}
-			km, _ = b.slot(s.name, key)
+		if len(s.index) >= s.pruneAt {
+			s.prune()
 		}
-		s.km[g] = km
+		r = newRow(s.b.groupOf(key))
+		s.b.slot(s.name, key)[key] = r
+		s.index[key] = r
 	}
-	if v, ok := km[key]; ok {
-		if m, ok := v.(map[string]any); ok {
-			s.curKey, s.cur = key, m
-			return m
-		}
-	}
-	if !create {
-		return nil
-	}
-	var m map[string]any
-	if n := len(s.spare); n > 0 {
-		m, s.spare = s.spare[n-1], s.spare[:n-1]
-	} else {
-		m = make(map[string]any)
-	}
-	km[key] = m
-	s.curKey, s.cur = key, m
-	return m
+	s.curKey, s.cur = key, r
+	return r
 }
 
-// Put writes directly into the cached inner map, bypassing MemoryBackend.put
-// — so delta tracking is hooked here explicitly.
+// prune drops the empty rows, so a job whose keys churn keeps an index of
+// O(live keys) at amortised O(1) per new row.
+func (s *memMap) prune() {
+	for k, r := range s.index {
+		if len(r.slots) == 0 {
+			delete(s.index, k)
+			delete(s.b.groups[r.group][s.name], k)
+		}
+	}
+	s.pruneAt = max(2*len(s.index), minPrune)
+	s.cur, s.curKey = nil, ""
+}
+
 func (s *memMap) Put(mapKey string, v any) {
 	if s.b.delta != nil {
 		s.b.delta.touch(s.name, s.b.currentKey)
 	}
-	s.inner(true)[mapKey] = v
+	r := s.row(true)
+	i, ok := r.find(mapKey)
+	if ok {
+		r.slots[i].val = v
+		return
+	}
+	r.slots = slices.Insert(r.slots, i, mapSlot{mapKey, v})
 }
 
 func (s *memMap) Get(mapKey string) (any, bool) {
-	m := s.inner(false)
-	if m == nil {
+	r := s.row(false)
+	if r == nil {
 		return nil, false
 	}
-	v, ok := m[mapKey]
-	if ok && s.b.delta != nil && IsCell(v) {
+	i, ok := r.find(mapKey)
+	if !ok {
+		return nil, false
+	}
+	v := r.slots[i].val
+	if s.b.delta != nil && IsCell(v) {
 		s.b.delta.touch(s.name, s.b.currentKey) // the caller may mutate it
 	}
-	return v, ok
+	return v, true
 }
 
 func (s *memMap) Remove(mapKey string) {
-	m := s.inner(false)
-	if m == nil {
+	r := s.row(false)
+	if r == nil {
 		return
 	}
-	delete(m, mapKey)
-	if len(m) == 0 {
-		// An empty inner map would keep the key in every later image.
-		s.Clear()
-		s.spare = append(s.spare, m)
+	i, ok := r.find(mapKey)
+	if !ok {
 		return
 	}
 	if s.b.delta != nil {
 		s.b.delta.touch(s.name, s.b.currentKey)
 	}
+	r.slots = slices.Delete(r.slots, i, i+1)
 }
 
 func (s *memMap) Keys() []string {
-	m := s.inner(false)
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	r := s.row(false)
+	if r == nil {
+		return []string{}
 	}
-	sort.Strings(keys)
+	keys := make([]string, len(r.slots))
+	for i, sl := range r.slots {
+		keys[i] = sl.key
+	}
 	return keys
 }
 
 func (s *memMap) Clear() {
-	s.b.del(s.name, s.b.currentKey)
-	s.cur, s.curKey = nil, ""
+	if s.b.delta != nil {
+		s.b.delta.touch(s.name, s.b.currentKey)
+	}
+	if r := s.row(false); r != nil {
+		clear(r.slots)
+		r.slots = r.slots[:0]
+	}
 }
 
 type memReducing struct {
@@ -383,11 +477,32 @@ func (b *MemoryBackend) ExportGroups(groups []int) ([]byte, error) {
 		if g < 0 || g >= b.numGroups {
 			return nil, fmt.Errorf("state: key group %d out of range [0,%d)", g, b.numGroups)
 		}
-		if b.groups[g] != nil {
-			img.Groups[g] = b.groups[g]
+		if names := b.imageOf(g); names != nil {
+			img.Groups[g] = names
 		}
 	}
 	return EncodeImage(img)
+}
+
+// imageOf returns group g's live state as an image holds it: rows as maps,
+// no empty row, state or group.
+func (b *MemoryBackend) imageOf(g int) map[string]map[string]any {
+	var out map[string]map[string]any
+	for name, kv := range b.groups[g] {
+		live := make(map[string]any, len(kv))
+		for k, v := range kv {
+			if v, ok := imageValue(v, true); ok {
+				live[k] = v
+			}
+		}
+		if len(live) > 0 {
+			if out == nil {
+				out = make(map[string]map[string]any)
+			}
+			out[name] = live
+		}
+	}
+	return out
 }
 
 // ImportGroups merges previously exported groups into this backend. Imported
@@ -417,11 +532,8 @@ func (b *MemoryBackend) ImportGroups(data []byte) error {
 // ForEachKey iterates all keys under the named value state.
 func (b *MemoryBackend) ForEachKey(name string, fn func(key string, value any) bool) {
 	for _, g := range b.groups {
-		if g == nil {
-			continue
-		}
 		for k, v := range g[name] {
-			if !fn(k, v) {
+			if v, ok := imageValue(v, true); ok && !fn(k, v) {
 				return
 			}
 		}

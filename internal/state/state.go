@@ -16,10 +16,7 @@
 //   - state versioning with schema migration (§4.2 State Versioning).
 package state
 
-import (
-	"encoding/gob"
-	"hash/fnv"
-)
+import "encoding/gob"
 
 // DefaultKeyGroups is the default number of key groups. Following Flink's
 // design, the key space is pre-partitioned into a fixed number of groups that
@@ -27,11 +24,16 @@ import (
 // whole groups rather than splitting hash ranges.
 const DefaultKeyGroups = 128
 
-// KeyGroupFor maps a key to its key group in [0, numGroups).
+// KeyGroupFor maps a key to its key group in [0, numGroups): the 32-bit
+// FNV-1a hash of the key, computed inline (no hash.Hash32, no []byte copy),
+// modulo numGroups.
 func KeyGroupFor(key string, numGroups int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(numGroups))
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h % uint32(numGroups))
 }
 
 // GroupRange returns the half-open key-group range [start, end) owned by

@@ -3,6 +3,7 @@ package window
 import (
 	"fmt"
 	"log"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -134,5 +135,63 @@ func TestWindowRewrapsRestoredCell(t *testing.T) {
 				t.Fatalf("fired %v, want one result of %v", ctx.out, tc.want)
 			}
 		})
+	}
+}
+
+// TestWindowFireSteadyStateZeroAllocs fires warm tumbling sums on the memory
+// backend, window after window, over the same keys, each key's next window
+// already open when its last one fires (as under a lagging watermark): once
+// warm, a fire allocates only the box Emit makes for each result. The fired
+// key's state row stays in place and its next window reuses it.
+func TestWindowFireSteadyStateZeroAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const size, windows, warm = 1_000, 40, 8
+	op := operatorFactory(NewTumbling(size),
+		FloatAggregate(Sum, func(e core.Event) float64 { return e.Value.(float64) }))().(core.BatchOperator)
+	keys := make([]string, 64)
+	batch := make([]core.Event, 2*len(keys))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	for i := range batch {
+		batch[i] = core.Event{Key: keys[i%len(keys)], Value: 1.0}
+	}
+	ctx := &batchCtx{b: state.NewMemoryBackend(0), wm: -1}
+	ctx.out = make([]core.Event, 0, len(keys))
+	fill := func(w int64) {
+		for i := range batch {
+			batch[i].Timestamp = w*size + int64(i)
+		}
+		if err := op.ProcessBatch(batch, ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fireAllocs uint64
+	var ms runtime.MemStats
+	fill(0)
+	for w := int64(0); w < windows; w++ {
+		fill(w + 1)
+		ctx.out = ctx.out[:0]
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		for _, k := range keys {
+			ctx.SetKey(k)
+			ctx.State()
+			if err := op.OnTimer((w+1)*size, ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		if w >= warm {
+			fireAllocs += ms.Mallocs - before
+		}
+		if len(ctx.out) != len(keys) || ctx.out[0].Value != 2.0 {
+			t.Fatalf("window %d fired %d results; want %d sums of 2", w, len(ctx.out), len(keys))
+		}
+	}
+	// One box per result, and the firing window's state key, formatted once
+	// per fire (cachedStateKey last held the next window's).
+	if per, want := float64(fireAllocs)/(windows-warm), float64(len(keys)+1); per > want {
+		t.Fatalf("a warm fire of %d results allocates %.1f times; want at most %.0f", len(keys), per, want)
 	}
 }
