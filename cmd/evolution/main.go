@@ -56,7 +56,6 @@ var timeline = []struct {
 			"streaming graphs .............. internal/graphstream (incremental CC / SSSP, random walks)",
 			"loops & cycles ................ internal/iterate (async feedback, BSP supersteps)",
 			"queryable state ............... internal/queryable + internal/serve (per-instance shards, get/keys over TCP)",
-			"state versioning .............. internal/state (SchemaRegistry, VersionedValue)",
 			"hardware acceleration ......... internal/window (vectorized kernels, E10)",
 		},
 	},
@@ -73,13 +72,13 @@ var table1 = []struct {
 }{
 	{"Programming Models", true, true, true, "core.Builder fluent API; statefun actors; cql SQL; iterate BSP"},
 	{"Transactions", true, false, false, "txn.Store (serializable 2PL), txn.Workflow (compensation)"},
-	{"Advanced State Backends", true, true, true, "state: memory / LSM (internal/lsm) / changelog; TTL"},
+	{"Advanced State Backends", true, true, true, "state: memory / LSM (internal/lsm) / changelog"},
 	{"Loops & Cycles", true, true, true, "iterate.AsyncLoop (async), iterate.Pregel (bulk-synchronous)"},
 	{"Elasticity & Reconfiguration", true, true, false, "core.RescaleCheckpoint + load.ScalingPolicy (DS2-style)"},
 	{"Dynamic Topologies", true, true, false, "statefun: addresses spawn on first message (virtual actors)"},
 	{"Shared Mutable State", false, true, true, "txn.Store shared across operators; ml.Registry; graphstream"},
 	{"Queryable State", true, true, false, "queryable.PublishOperator's per-instance shards, read by serve.Server's get/keys over TCP"},
-	{"State Versioning", true, true, false, "state.SchemaRegistry + VersionedValue; ml.Registry versions"},
+	{"State Versioning", true, true, false, "ml.Registry versions"},
 	{"Hardware Acceleration", false, false, false, "window.BatchTumbling vectorized kernels (CPU stand-in, E10)"},
 }
 

@@ -387,17 +387,10 @@ func NewPanicInjector(after int) *PanicInjector {
 // Fired reports whether the panic has been delivered.
 func (p *PanicInjector) Fired() bool { return p.fired.Load() }
 
-// Wrap decorates an operator factory with the injection. Snapshotter
-// operators keep their custom snapshot/restore behaviour through the
-// wrapper.
+// Wrap decorates an operator factory with the injection.
 func (p *PanicInjector) Wrap(fac core.OperatorFactory) core.OperatorFactory {
 	return func() core.Operator {
-		inner := fac()
-		w := &panicOperator{inner: inner, inj: p}
-		if snap, ok := inner.(core.Snapshotter); ok {
-			return &snapshottingPanicOperator{panicOperator: w, snap: snap}
-		}
-		return w
+		return &panicOperator{inner: fac(), inj: p}
 	}
 }
 
@@ -420,15 +413,3 @@ func (o *panicOperator) OnWatermark(wm int64, ctx core.Context) error {
 	return o.inner.OnWatermark(wm, ctx)
 }
 func (o *panicOperator) Close(ctx core.Context) error { return o.inner.Close(ctx) }
-
-type snapshottingPanicOperator struct {
-	*panicOperator
-	snap core.Snapshotter
-}
-
-func (o *snapshottingPanicOperator) SnapshotCustom() ([]byte, error) { return o.snap.SnapshotCustom() }
-func (o *snapshottingPanicOperator) RestoreCustom(data []byte) error {
-	return o.snap.RestoreCustom(data)
-}
-
-var _ core.Snapshotter = (*snapshottingPanicOperator)(nil)

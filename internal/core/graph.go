@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/eventtime"
 	"repro/internal/obsv"
@@ -157,9 +156,6 @@ type Config struct {
 	ChannelCapacity int
 	// DefaultParallelism applies to nodes that don't override it. Default 1.
 	DefaultParallelism int
-	// NumKeyGroups is the key-group fan-out for keyed state. Default
-	// state.DefaultKeyGroups.
-	NumKeyGroups int
 	// BackendFactory builds a state backend per operator instance. Default
 	// builds MemoryBackends.
 	BackendFactory func(nodeName string, instance int) (state.Backend, error)
@@ -172,14 +168,6 @@ type Config struct {
 	// automatic checkpoints (manual TriggerCheckpoint still works when a
 	// store is set).
 	CheckpointEvery int
-	// SnapshotRetries is how many extra attempts a failed snapshot Save gets
-	// before the checkpoint is aborted (the job keeps running and the next
-	// barrier subsumes the aborted checkpoint). Default 2; negative disables
-	// retries.
-	SnapshotRetries int
-	// SnapshotRetryBackoff is the fixed delay between snapshot Save retries.
-	// Default 2ms.
-	SnapshotRetryBackoff time.Duration
 	// MaxBatchSize is the batch capacity: records travel between instances
 	// only in pooled batches of at most this many records, one open batch
 	// per sender and downstream instance. A batch ships when it is full,
@@ -236,27 +224,15 @@ func (c Config) withDefaults() Config {
 	if c.DefaultParallelism <= 0 {
 		c.DefaultParallelism = 1
 	}
-	if c.NumKeyGroups <= 0 {
-		c.NumKeyGroups = state.DefaultKeyGroups
-	}
 	if c.WatermarkInterval <= 0 {
 		c.WatermarkInterval = 32
-	}
-	if c.SnapshotRetries == 0 {
-		c.SnapshotRetries = 2
-	} else if c.SnapshotRetries < 0 {
-		c.SnapshotRetries = 0
-	}
-	if c.SnapshotRetryBackoff <= 0 {
-		c.SnapshotRetryBackoff = 2 * time.Millisecond
 	}
 	if c.FullSnapshotEvery <= 0 {
 		c.FullSnapshotEvery = 8
 	}
 	if c.BackendFactory == nil {
-		groups := c.NumKeyGroups
 		c.BackendFactory = func(string, int) (state.Backend, error) {
-			return state.NewMemoryBackend(groups), nil
+			return state.NewMemoryBackend(state.DefaultKeyGroups), nil
 		}
 	}
 	return c

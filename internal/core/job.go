@@ -144,7 +144,7 @@ func (j *Job) RestoreFrom(checkpointID int64) { j.restoreCP = checkpointID }
 
 // NumKeyGroups returns the key-group fan-out of the job's keyed state, the
 // count a rescale of its checkpoints must redistribute by.
-func (j *Job) NumKeyGroups() int { return j.cfg.NumKeyGroups }
+func (j *Job) NumKeyGroups() int { return state.DefaultKeyGroups }
 
 // LastCheckpoint returns the most recently completed checkpoint ID, or -1.
 func (j *Job) LastCheckpoint() int64 { return j.lastCheckpoint.Load() }
@@ -601,9 +601,9 @@ func (j *Job) buildPhysical() error {
 	// Wire edges: allocate receiver-local channel IDs per (edge, upstream
 	// instance) pair.
 	groupMap := func(par int) []int {
-		m := make([]int, j.cfg.NumKeyGroups)
+		m := make([]int, state.DefaultKeyGroups)
 		for i := 0; i < par; i++ {
-			s, e := state.GroupRange(j.cfg.NumKeyGroups, par, i)
+			s, e := state.GroupRange(state.DefaultKeyGroups, par, i)
 			for g := s; g < e; g++ {
 				m[g] = i
 			}
@@ -630,7 +630,6 @@ func (j *Job) buildPhysical() error {
 				}
 			}
 			o := newOutEdge(e, j.cfg.MaxBatchSize, targets, chIDs)
-			o.numKeyGroups = j.cfg.NumKeyGroups
 			if e.kind == PartitionHash {
 				o.groupToTarget = groupMap(e.to.parallelism)
 			}
@@ -1074,6 +1073,14 @@ func (j *Job) settle(ctx context.Context, done chan<- struct{}) {
 	}
 }
 
+// A failed snapshot Save gets snapshotRetries more attempts,
+// snapshotRetryBackoff apart, before its checkpoint aborts (the job keeps
+// running and the next barrier subsumes the aborted checkpoint).
+const (
+	snapshotRetries      = 2
+	snapshotRetryBackoff = 2 * time.Millisecond
+)
+
 // saveAndAck persists one instance snapshot, retrying transient store I/O
 // errors with a fixed backoff, and acks it with the backend files the
 // instance linked into the checkpoint. Linked files add no payload bytes — a
@@ -1085,13 +1092,13 @@ func (j *Job) saveAndAck(ctx context.Context, b barrierMark, instanceID string, 
 		return
 	}
 	var err error
-	for attempt := 0; attempt <= j.cfg.SnapshotRetries; attempt++ {
+	for attempt := 0; attempt <= snapshotRetries; attempt++ {
 		if attempt > 0 {
 			if j.cfg.Instrument {
 				j.metrics.Counter("checkpoint.save_retries").Inc()
 			}
 			select {
-			case <-time.After(j.cfg.SnapshotRetryBackoff):
+			case <-time.After(snapshotRetryBackoff):
 			case <-ctx.Done():
 				return
 			}

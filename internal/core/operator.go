@@ -92,14 +92,6 @@ type BatchOperator interface {
 	ProcessBatch(batch []Event, ctx BatchContext) error
 }
 
-// Snapshotter is an optional Operator extension for operators that carry
-// instance-local state outside the managed state backend. The engine includes
-// the custom bytes in checkpoints.
-type Snapshotter interface {
-	SnapshotCustom() ([]byte, error)
-	RestoreCustom(data []byte) error
-}
-
 // BaseOperator provides no-op defaults; embed it to implement only the hooks
 // you need.
 type BaseOperator struct{}

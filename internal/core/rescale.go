@@ -25,9 +25,6 @@ type RescaleStats struct {
 // timers by key group (§3.3/§4.2 Elasticity & Reconfiguration). The result is
 // stored as a new checkpoint `toCP`; all other nodes' snapshots are copied
 // verbatim. A job built with the new parallelism can then RestoreFrom(toCP).
-//
-// Operators carrying Snapshotter custom state cannot be rescaled — keep
-// rescalable state in the managed backend.
 func RescaleCheckpoint(store SnapshotStore, fromCP, toCP int64, nodeName string, newParallelism, numGroups int) (RescaleStats, error) {
 	var stats RescaleStats
 	if newParallelism < 1 {
@@ -67,9 +64,6 @@ func RescaleCheckpoint(store SnapshotStore, fromCP, toCP int64, nodeName string,
 		snap, err := decodeInstanceSnapshot(raw)
 		if err != nil {
 			return stats, fmt.Errorf("core: rescale %s: %w", id, err)
-		}
-		if len(snap.Custom) > 0 {
-			return stats, fmt.Errorf("core: node %q instance %s has custom snapshot state; cannot rescale", nodeName, id)
 		}
 		// Rescaling redistributes a decoded state image across a new key-group
 		// assignment; a delta payload (no image, only changed slots) or a

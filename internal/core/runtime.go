@@ -29,7 +29,6 @@ type outEdge struct {
 	chIDs   []int          // receiver-local channel index at each target
 	// groupToTarget maps a key group to the index in targets (hash edges).
 	groupToTarget []int
-	numKeyGroups  int
 	// rr and mrr are free-running round-robin cursors (rebalance routing and
 	// latency-marker forwarding). Unsigned so overflow wraps to 0 instead of
 	// going negative — a signed cursor would eventually produce a negative
@@ -72,7 +71,7 @@ func (o *outEdge) sendRecord(ctx context.Context, e Event) bool {
 	switch o.edge.kind {
 	case PartitionHash:
 		e.Key = o.edge.keySel(e)
-		g := state.KeyGroupFor(e.Key, o.numKeyGroups)
+		g := state.KeyGroupFor(e.Key, state.DefaultKeyGroups)
 		return o.enqueue(ctx, o.groupToTarget[g], e)
 	case PartitionBroadcast:
 		for t := range o.targets {
@@ -103,7 +102,7 @@ func (o *outEdge) sendRecords(ctx context.Context, events []Event) bool {
 		n := len(events)
 		for i := 0; i < n; {
 			key := o.edge.keySel(events[i])
-			t := o.groupToTarget[state.KeyGroupFor(key, o.numKeyGroups)]
+			t := o.groupToTarget[state.KeyGroupFor(key, state.DefaultKeyGroups)]
 			// Extend the run of records selecting the same key: they all
 			// route to the same target and are appended in bulk, with the
 			// key group hashed once for the whole run.
@@ -794,13 +793,6 @@ func (in *instance) captureSnapshot(b barrierMark) ([]byte, []string, error) {
 		return nil, nil, err
 	}
 	snap.Timers = timerImg
-	if s, ok := in.op.(Snapshotter); ok {
-		custom, err := s.SnapshotCustom()
-		if err != nil {
-			return nil, nil, fmt.Errorf("snapshot custom: %w", err)
-		}
-		snap.Custom = custom
-	}
 	data, err := encodeInstanceSnapshot(snap)
 	if err != nil {
 		return nil, nil, err
@@ -851,8 +843,8 @@ func (in *instance) captureFiles(fb state.FileBackend, b barrierMark, snap *inst
 
 // restoreChain rebuilds instance state from a restore chain: the oldest
 // payload is a full capture (serialised image or file-native), every later
-// payload a delta replayed on top. Timers and custom operator state are
-// always stored full, so they come from the newest payload only.
+// payload a delta replayed on top. Timers are always stored full, so they
+// come from the newest payload only.
 func (in *instance) restoreChain() error {
 	last := len(in.restore) - 1
 	for i, p := range in.restore {
@@ -879,16 +871,8 @@ func (in *instance) restoreChain() error {
 				return fmt.Errorf("replay delta %d: %w", p.cp, err)
 			}
 		}
-		if i != last {
-			continue
-		}
-		if err := in.timers.restore(snap.Timers); err != nil {
-			return err
-		}
-		if s, ok := in.op.(Snapshotter); ok && len(snap.Custom) > 0 {
-			if err := s.RestoreCustom(snap.Custom); err != nil {
-				return fmt.Errorf("restore custom: %w", err)
-			}
+		if i == last {
+			return in.timers.restore(snap.Timers)
 		}
 	}
 	return nil

@@ -70,13 +70,11 @@ type instanceSnapshot struct {
 	State []byte
 	// Timers is the timer service image.
 	Timers []byte
-	// Custom is the operator's Snapshotter payload, if any.
-	Custom []byte
 	// SourceOffset is the replayable source position, if the instance is a
 	// source.
 	SourceOffset []byte
 	// DeltaBase is the checkpoint ID State is a delta of; 0 means State is a
-	// full image. Timers/Custom/SourceOffset are always full.
+	// full image. Timers/SourceOffset are always full.
 	DeltaBase int64
 	// Files names backend files (linked into the store via LinkFile) that
 	// replace State for file-native backends.
@@ -125,6 +123,64 @@ func decodeInstanceSnapshot(data []byte) (instanceSnapshot, error) {
 		return s, fmt.Errorf("core: decode snapshot: %w", err)
 	}
 	return s, nil
+}
+
+// lineage is the checkpoint policy both snapshot stores apply: every
+// completed checkpoint, ascending by ID.
+type lineage []CheckpointMeta
+
+// find returns the completed checkpoint with the given ID.
+func (l lineage) find(cp int64) (CheckpointMeta, bool) {
+	i := sort.Search(len(l), func(i int) bool { return l[i].ID >= cp })
+	if i < len(l) && l[i].ID == cp {
+		return l[i], true
+	}
+	return CheckpointMeta{}, false
+}
+
+// collectible reports whether a checkpoint's data may go once the store
+// retains the newest n completed checkpoints (n <= 0 keeps everything): it
+// is older than all of them, aborted leftovers included, and no retained
+// delta depends on it through its parent chain.
+func (l lineage) collectible(n int) func(cp int64) bool {
+	if n <= 0 || len(l) == 0 {
+		return func(int64) bool { return false }
+	}
+	kept := l[max(len(l)-n, 0):]
+	keep := make(map[int64]bool)
+	for _, m := range kept {
+		for cp := m.Parent; cp != 0 && !keep[cp]; {
+			keep[cp] = true
+			parent, ok := l.find(cp)
+			if !ok {
+				break
+			}
+			cp = parent.Parent
+		}
+	}
+	floor := kept[0].ID
+	return func(cp int64) bool { return cp < floor && !keep[cp] }
+}
+
+// latest returns the newest completed checkpoint whose whole chain is
+// restorable: each link is completed, strictly older than its child (which
+// also bounds the walk on corrupt lineage) and intact. intact is asked
+// newest first and only as far as the answer needs, so a store that checks
+// files on disk reads no more than that.
+func (l lineage) latest(intact func(CheckpointMeta) bool) (CheckpointMeta, bool) {
+	for i := len(l) - 1; i >= 0; i-- {
+		for m := l[i]; intact(m); {
+			if m.Parent == 0 {
+				return l[i], true
+			}
+			parent, ok := l.find(m.Parent)
+			if !ok || parent.ID >= m.ID {
+				break
+			}
+			m = parent
+		}
+	}
+	return CheckpointMeta{}, false
 }
 
 // MemorySnapshotStore keeps checkpoints on the heap.
@@ -183,7 +239,7 @@ func (s *MemorySnapshotStore) Complete(meta CheckpointMeta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if meta.Parent != 0 {
-		if _, ok := s.metaLocked(meta.Parent); !ok {
+		if _, ok := lineage(s.completed).find(meta.Parent); !ok {
 			return fmt.Errorf("core: complete checkpoint %d: parent %d is not a completed checkpoint",
 				meta.ID, meta.Parent)
 		}
@@ -194,43 +250,13 @@ func (s *MemorySnapshotStore) Complete(meta CheckpointMeta) error {
 	if n := len(s.completed); n > 1 && s.completed[n-2].ID > meta.ID {
 		sort.Slice(s.completed, func(i, j int) bool { return s.completed[i].ID < s.completed[j].ID })
 	}
-	if s.retain > 0 && len(s.completed) > s.retain {
-		// GC subsumed checkpoints: everything older than the newest retain
-		// completed ones, including never-completed (aborted) leftovers —
-		// except full images a retained delta still depends on (the
-		// transitive parent closure of the kept checkpoints).
-		floor := s.completed[len(s.completed)-s.retain].ID
-		keep := make(map[int64]bool)
-		for _, m := range s.completed[len(s.completed)-s.retain:] {
-			for cp := m.ID; cp != 0; {
-				if keep[cp] {
-					break
-				}
-				keep[cp] = true
-				parent, ok := s.metaLocked(cp)
-				if !ok {
-					break
-				}
-				cp = parent.Parent
-			}
-		}
-		for cp := range s.data {
-			if cp < floor && !keep[cp] {
-				delete(s.data, cp)
-			}
+	collectible := lineage(s.completed).collectible(s.retain)
+	for cp := range s.data {
+		if collectible(cp) {
+			delete(s.data, cp)
 		}
 	}
 	return nil
-}
-
-// metaLocked finds a completed checkpoint's metadata. Requires s.mu.
-func (s *MemorySnapshotStore) metaLocked(cp int64) (CheckpointMeta, bool) {
-	for i := len(s.completed) - 1; i >= 0; i-- {
-		if s.completed[i].ID == cp {
-			return s.completed[i], true
-		}
-	}
-	return CheckpointMeta{}, false
 }
 
 // Discard implements DiscardableStore.
@@ -241,44 +267,19 @@ func (s *MemorySnapshotStore) Discard(cp int64) error {
 	return nil
 }
 
-// Latest implements SnapshotStore. A delta checkpoint is only returned when
-// its whole parent chain is still restorable (every ancestor completed with
-// its instance data present); an unrestorable chain head is skipped in favor
-// of the newest older checkpoint that is.
+// Latest implements SnapshotStore: the newest checkpoint whose whole chain
+// still has its instance data (see lineage.latest).
 func (s *MemorySnapshotStore) Latest() (CheckpointMeta, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := len(s.completed) - 1; i >= 0; i-- {
-		meta := s.completed[i]
-		if meta.Parent == 0 || s.chainRestorableLocked(meta) {
-			return meta, true
-		}
-	}
-	return CheckpointMeta{}, false
-}
-
-// chainRestorableLocked walks meta's parent chain verifying each link is a
-// completed checkpoint whose instance data is still present. Requires s.mu.
-func (s *MemorySnapshotStore) chainRestorableLocked(meta CheckpointMeta) bool {
-	for {
-		m := s.data[meta.ID]
-		if m == nil {
-			return false
-		}
+	return lineage(s.completed).latest(func(meta CheckpointMeta) bool {
 		for _, id := range meta.InstanceIDs {
-			if _, ok := m[id]; !ok {
+			if _, ok := s.data[meta.ID][id]; !ok {
 				return false
 			}
 		}
-		if meta.Parent == 0 {
-			return true
-		}
-		parent, ok := s.metaLocked(meta.Parent)
-		if !ok || parent.ID >= meta.ID {
-			return false // broken or non-decreasing lineage
-		}
-		meta = parent
-	}
+		return true
+	})
 }
 
 // Completed returns all completed checkpoint metadata in order.
@@ -676,59 +677,47 @@ func (s *FileSnapshotStore) Complete(meta CheckpointMeta) error {
 	if err := commitFile(dir, metaFile, frameSnapshot(buf.Bytes())); err != nil {
 		return err
 	}
-	s.gcLocked(meta.ID)
+	s.gcLocked()
 	return nil
 }
 
-// gcLocked deletes checkpoint directories subsumed by the just-completed
-// checkpoint: completed ones beyond the newest retain, and aborted
-// (never-completed) ones older than the newest completed. Requires s.mu.
-func (s *FileSnapshotStore) gcLocked(newest int64) {
+// gcLocked deletes the checkpoint directories the retention policy lets go
+// (see lineage.collectible), aborted ones included. Requires s.mu.
+func (s *FileSnapshotStore) gcLocked() {
 	if s.retain <= 0 {
 		return
 	}
+	completed, ids := s.scanLocked()
+	collectible := completed.collectible(s.retain)
+	for _, id := range ids {
+		if collectible(id) {
+			os.RemoveAll(s.cpDir(id))
+		}
+	}
+}
+
+// scanLocked lists the store's checkpoint directories: the completed ones
+// (a _meta that decodes), ascending by ID, and the IDs of all of them,
+// completed or not. Requires s.mu.
+func (s *FileSnapshotStore) scanLocked() (lineage, []int64) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return
+		return nil, nil
 	}
-	var completed []int64
-	incomplete := make(map[int64]bool)
-	parents := make(map[int64]int64)
+	var completed lineage
+	var ids []int64
 	for _, e := range entries {
 		var id int64
 		if _, err := fmt.Sscanf(e.Name(), "chk-%d", &id); err != nil {
 			continue
 		}
+		ids = append(ids, id)
 		if meta, err := s.readMeta(e.Name()); err == nil {
-			completed = append(completed, id)
-			parents[id] = meta.Parent
-		} else {
-			incomplete[id] = true
+			completed = append(completed, meta)
 		}
 	}
-	sort.Slice(completed, func(i, j int) bool { return completed[i] > completed[j] })
-	// Keep the newest retain completed checkpoints plus the transitive parent
-	// closure of every kept delta: collecting a full image a retained delta
-	// depends on would make that delta unrestorable.
-	keep := make(map[int64]bool)
-	for i, id := range completed {
-		if i >= s.retain {
-			break
-		}
-		for cp := id; cp != 0 && !keep[cp]; cp = parents[cp] {
-			keep[cp] = true
-		}
-	}
-	for i, id := range completed {
-		if i >= s.retain && !keep[id] {
-			os.RemoveAll(s.cpDir(id))
-		}
-	}
-	for id := range incomplete {
-		if id < newest {
-			os.RemoveAll(s.cpDir(id))
-		}
-	}
+	sort.Slice(completed, func(i, j int) bool { return completed[i].ID < completed[j].ID })
+	return completed, ids
 }
 
 // Discard implements DiscardableStore.
@@ -757,37 +746,13 @@ func (s *FileSnapshotStore) readMeta(cpDirName string) (CheckpointMeta, error) {
 
 // Latest implements SnapshotStore. Incomplete, torn or unverifiable
 // checkpoints are skipped, so the returned checkpoint is always restorable:
-// every instance file it references exists with an intact frame.
+// every file of every link of its chain exists with an intact frame (see
+// lineage.latest).
 func (s *FileSnapshotStore) Latest() (CheckpointMeta, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return CheckpointMeta{}, false
-	}
-	var metas []CheckpointMeta
-	for _, e := range entries {
-		var id int64
-		if _, err := fmt.Sscanf(e.Name(), "chk-%d", &id); err != nil {
-			continue
-		}
-		meta, err := s.readMeta(e.Name())
-		if err != nil {
-			continue // incomplete or torn checkpoint
-		}
-		metas = append(metas, meta)
-	}
-	sort.Slice(metas, func(i, j int) bool { return metas[i].ID > metas[j].ID })
-	byID := make(map[int64]CheckpointMeta, len(metas))
-	for _, meta := range metas {
-		byID[meta.ID] = meta
-	}
-	for _, meta := range metas {
-		if s.verifyCheckpointLocked(meta) && s.chainRestorableLocked(meta, byID) {
-			return meta, true
-		}
-	}
-	return CheckpointMeta{}, false
+	completed, _ := s.scanLocked()
+	return completed.latest(s.verifyCheckpointLocked)
 }
 
 // verifyCheckpointLocked checks one checkpoint's own files (instances plus
@@ -802,23 +767,6 @@ func (s *FileSnapshotStore) verifyCheckpointLocked(meta CheckpointMeta) bool {
 		if err := s.verifyLinkedFile(meta.ID, name); err != nil {
 			return false
 		}
-	}
-	return true
-}
-
-// chainRestorableLocked verifies meta's ancestors: every parent must itself
-// be completed, verifiable, and strictly older (the ordering guard also
-// bounds the walk against corrupt lineage cycles). Requires s.mu.
-func (s *FileSnapshotStore) chainRestorableLocked(meta CheckpointMeta, byID map[int64]CheckpointMeta) bool {
-	for meta.Parent != 0 {
-		parent, ok := byID[meta.Parent]
-		if !ok || parent.ID >= meta.ID {
-			return false
-		}
-		if !s.verifyCheckpointLocked(parent) {
-			return false
-		}
-		meta = parent
 	}
 	return true
 }

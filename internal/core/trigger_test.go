@@ -280,8 +280,20 @@ func TestAbortedCheckpointSkipsNoBarrier(t *testing.T) {
 	events := genEvents(n, 7)
 	run := func(store SnapshotStore) (*Job, map[string]int) {
 		sink := NewCollectSink()
-		b := NewBuilder(Config{Name: "abort", SnapshotStore: store, CheckpointEvery: 5, SnapshotRetries: -1})
-		slowOdd := func(i int) time.Duration { return time.Duration(i%2) * 200 * time.Microsecond }
+		b := NewBuilder(Config{Name: "abort", SnapshotStore: store, CheckpointEvery: 5})
+		// The slow instance emits a barrier before its next record, and its
+		// first records take 10 ms each: longer than the fast one's save
+		// attempts for checkpoint 1 (snapshotRetries more, snapshotRetryBackoff
+		// apart), so that checkpoint fails before the slow barrier is out.
+		slowOdd := func(i int) time.Duration {
+			switch {
+			case i%2 == 0:
+				return 0
+			case i < 10:
+				return 10 * time.Millisecond
+			}
+			return 200 * time.Microsecond
+		}
 		b.Source("src", NewPacedSourceFactory(events, slowOdd), WithParallelism(2)).
 			KeyBy(func(e Event) string { return e.Key }).
 			ProcessWith("count", func() Operator { return &countOperator{} }, 2).

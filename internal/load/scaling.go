@@ -45,8 +45,8 @@ func NewScalingPolicy(targetUtilisation float64, min, max int) *ScalingPolicy {
 // Decide returns the parallelism for the observed input rate and measured
 // per-instance processing capacity, given the current parallelism.
 //
-// Non-finite rates hold the current parallelism: EWMA meters emit NaN before
-// their first sample window closes, and a busy-time-derived capacity divides
+// Non-finite rates hold the current parallelism: a windowed rate is NaN before
+// its first sample window closes, and a busy-time-derived capacity divides
 // by zero (→ ±Inf) until the instance has done any work. Feeding either into
 // the ceil() below would produce a garbage target (int(math.Ceil(NaN)) is
 // platform-dependent and typically a huge negative number), so warm-up

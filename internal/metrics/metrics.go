@@ -1,7 +1,7 @@
-// Package metrics provides lightweight, concurrency-safe counters, gauges,
-// throughput meters and log-bucketed latency histograms used by the engine
-// and the experiment harness. It is intentionally dependency-free so every
-// subsystem can report measurements without pulling in the engine itself.
+// Package metrics provides lightweight, concurrency-safe counters, gauges
+// and log-bucketed latency histograms used by the engine and the experiment
+// harness. It is intentionally dependency-free so every subsystem can report
+// measurements without pulling in the engine itself.
 package metrics
 
 import (
@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing event count.
@@ -84,9 +83,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.mu.Unlock()
 }
-
-// ObserveDuration records a duration in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
 // Reset discards every observation, returning the histogram to its empty
 // state. Harnesses use it to separate a warmup phase from the measured
@@ -219,103 +215,6 @@ func (h *Histogram) Export() HistogramSnapshot {
 	return s
 }
 
-// meterTau is the EWMA time constant of Meter.Rate: observations older than a
-// few multiples of this window no longer influence the reported rate.
-const meterTau = 5 * time.Second
-
-// meterMinSample is the smallest interval over which an instantaneous rate is
-// computed; calls closer together than this reuse the previous estimate.
-const meterMinSample = 10 * time.Millisecond
-
-// Meter measures the rate of events: a windowed EWMA rate that tracks the
-// current throughput (Rate) and the average over the meter's whole lifetime
-// (LifetimeRate).
-type Meter struct {
-	count atomic.Int64
-	start time.Time
-
-	mu        sync.Mutex
-	lastCount int64
-	lastTime  time.Time
-	ewma      float64
-	primed    bool
-	now       func() time.Time // test hook
-}
-
-// NewMeter returns a meter whose rate window starts now.
-func NewMeter() *Meter {
-	now := time.Now()
-	return &Meter{start: now, lastTime: now, now: time.Now}
-}
-
-// Mark records n events.
-func (m *Meter) Mark(n int64) { m.count.Add(n) }
-
-// Count returns the total events marked.
-func (m *Meter) Count() int64 { return m.count.Load() }
-
-// Rate returns the current events-per-second throughput as an exponentially
-// weighted moving average with a ~5 s window, so a live throughput collapse
-// is visible within seconds. Use LifetimeRate for the all-time average.
-func (m *Meter) Rate() float64 {
-	n := m.count.Load()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.now()
-	el := t.Sub(m.lastTime)
-	if el < meterMinSample {
-		if !m.primed {
-			// Too early for a windowed sample; fall back to the lifetime
-			// average so a meter read immediately after marking is not zero.
-			return m.lifetimeRateLocked(n, t)
-		}
-		return m.ewma
-	}
-	inst := float64(n-m.lastCount) / el.Seconds()
-	if m.primed {
-		alpha := 1 - math.Exp(-el.Seconds()/meterTau.Seconds())
-		m.ewma += alpha * (inst - m.ewma)
-	} else {
-		m.ewma = inst
-		m.primed = true
-	}
-	m.lastCount = n
-	m.lastTime = t
-	return m.ewma
-}
-
-// Reset zeroes the count and restarts both rate windows (EWMA and lifetime)
-// from now, as if the meter had just been created. Concurrent Marks may land
-// on either side of the reset.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	now := m.now()
-	m.count.Store(0)
-	m.start = now
-	m.lastTime = now
-	m.lastCount = 0
-	m.ewma = 0
-	m.primed = false
-	m.mu.Unlock()
-}
-
-// LifetimeRate returns events per second averaged since the meter was
-// created.
-func (m *Meter) LifetimeRate() float64 {
-	n := m.count.Load()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lifetimeRateLocked(n, m.now())
-}
-
-func (m *Meter) lifetimeRateLocked(n int64, now time.Time) float64 {
-	el := now.Sub(m.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(n) / el
-}
-
 // Registry is a named collection of metrics. A Registry is safe for
 // concurrent use; metric constructors return the existing instrument when the
 // name is already registered.
@@ -325,7 +224,6 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() int64
 	histograms map[string]*Histogram
-	meters     map[string]*Meter
 }
 
 // NewRegistry returns an empty registry.
@@ -335,7 +233,6 @@ func NewRegistry() *Registry {
 		gauges:     make(map[string]*Gauge),
 		gaugeFuncs: make(map[string]func() int64),
 		histograms: make(map[string]*Histogram),
-		meters:     make(map[string]*Meter),
 	}
 }
 
@@ -375,18 +272,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Meter returns the meter with the given name, creating it if absent.
-func (r *Registry) Meter(name string) *Meter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.meters[name]
-	if !ok {
-		m = NewMeter()
-		r.meters[name] = m
-	}
-	return m
-}
-
 // GaugeFunc registers a callback gauge: fn is invoked at read time, so live
 // values owned by other subsystems (queue lengths, credit counts) can be
 // exported without a polling loop. Registering an existing name replaces the
@@ -405,12 +290,11 @@ type Visitor struct {
 	Counter   func(name string, c *Counter)
 	Gauge     func(name string, value int64)
 	Histogram func(name string, h *Histogram)
-	Meter     func(name string, m *Meter)
 }
 
 // Each visits every registered metric in ascending name order per kind:
-// counters, gauges (stored and callback, interleaved by name), histograms,
-// meters. The registry lock is not held during visits, so visitors may block
+// counters, gauges (stored and callback, interleaved by name), histograms.
+// The registry lock is not held during visits, so visitors may block
 // or read other locks freely; instruments registered concurrently with an
 // Each call may or may not be visited.
 func (r *Registry) Each(v Visitor) {
@@ -430,10 +314,6 @@ func (r *Registry) Each(v Visitor) {
 	histograms := make(map[string]*Histogram, len(r.histograms))
 	for n, h := range r.histograms {
 		histograms[n] = h
-	}
-	meters := make(map[string]*Meter, len(r.meters))
-	for n, m := range r.meters {
-		meters[n] = m
 	}
 	r.mu.Unlock()
 
@@ -463,11 +343,6 @@ func (r *Registry) Each(v Visitor) {
 			v.Histogram(n, histograms[n])
 		}
 	}
-	if v.Meter != nil {
-		for _, n := range sortedKeys(meters) {
-			v.Meter(n, meters[n])
-		}
-	}
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -493,10 +368,6 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		},
 		Histogram: func(n string, h *Histogram) {
 			lines = append(lines, fmt.Sprintf("histogram %s: %s", n, h.Snapshot()))
-		},
-		Meter: func(n string, m *Meter) {
-			lines = append(lines, fmt.Sprintf("meter %s: count=%d rate=%.1f/s lifetime=%.1f/s",
-				n, m.Count(), m.Rate(), m.LifetimeRate()))
 		},
 	})
 	sort.Strings(lines)

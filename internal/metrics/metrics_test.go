@@ -103,67 +103,11 @@ func TestRegistryReuse(t *testing.T) {
 	}
 	r.Gauge("g").Set(1)
 	r.Histogram("h").Observe(1)
-	r.Meter("m").Mark(3)
 	dump := r.Dump()
-	for _, want := range []string{"counter x = 1", "gauge g = 1", "histogram h:", "meter m:"} {
+	for _, want := range []string{"counter x = 1", "gauge g = 1", "histogram h:"} {
 		if !strings.Contains(dump, want) {
 			t.Fatalf("dump missing %q:\n%s", want, dump)
 		}
-	}
-}
-
-func TestMeterRate(t *testing.T) {
-	m := NewMeter()
-	m.Mark(100)
-	if m.Count() != 100 {
-		t.Fatalf("count: want 100, got %d", m.Count())
-	}
-	if m.Rate() <= 0 {
-		t.Fatal("rate should be positive after marks")
-	}
-}
-
-// virtualMeter returns a meter on a manual clock plus the advance function.
-func virtualMeter() (*Meter, func(d time.Duration)) {
-	now := time.Unix(1000, 0)
-	m := NewMeter()
-	m.start = now
-	m.lastTime = now
-	m.now = func() time.Time { return now }
-	return m, func(d time.Duration) { now = now.Add(d) }
-}
-
-func TestMeterEWMATracksCurrentRate(t *testing.T) {
-	m, advance := virtualMeter()
-	// 1000 events/s for one second primes the EWMA at the instantaneous rate.
-	m.Mark(1000)
-	advance(time.Second)
-	if r := m.Rate(); r < 999 || r > 1001 {
-		t.Fatalf("primed rate: want ~1000, got %v", r)
-	}
-	// Throughput collapses to zero: the windowed rate must decay within a few
-	// time constants, while the lifetime rate stays high.
-	for i := 0; i < 12; i++ {
-		advance(5 * time.Second)
-		m.Rate()
-	}
-	if r := m.Rate(); r > 1 {
-		t.Fatalf("rate should have decayed toward 0 after idle minute, got %v", r)
-	}
-	if lr := m.LifetimeRate(); lr < 15 || lr > 17 {
-		t.Fatalf("lifetime rate: want ~16 (1000 events / 61s), got %v", lr)
-	}
-}
-
-func TestMeterRateBackToBackCallsStable(t *testing.T) {
-	m, advance := virtualMeter()
-	m.Mark(500)
-	advance(time.Second)
-	first := m.Rate()
-	// A second read within the minimum sample interval must not produce a
-	// bogus instantaneous spike from a tiny elapsed window.
-	if second := m.Rate(); second != first {
-		t.Fatalf("immediate re-read changed rate: %v -> %v", first, second)
 	}
 }
 
@@ -183,32 +127,6 @@ func TestHistogramReset(t *testing.T) {
 	h.Observe(7)
 	if h.Count() != 1 || h.Min() != 7 || h.Max() != 7 {
 		t.Fatalf("histogram broken after reset: %s", h.Snapshot())
-	}
-}
-
-func TestMeterReset(t *testing.T) {
-	m, advance := virtualMeter()
-	m.Mark(1000)
-	advance(time.Second)
-	if m.Rate() < 999 {
-		t.Fatal("meter should be primed before reset")
-	}
-	m.Reset()
-	if m.Count() != 0 {
-		t.Fatalf("reset meter count: want 0, got %d", m.Count())
-	}
-	if lr := m.LifetimeRate(); lr != 0 {
-		t.Fatalf("reset meter lifetime rate: want 0, got %v", lr)
-	}
-	// A fresh measurement window: 200 events over 1s reads ~200/s, not a
-	// blend with the pre-reset rate.
-	m.Mark(200)
-	advance(time.Second)
-	if r := m.Rate(); r < 199 || r > 201 {
-		t.Fatalf("post-reset rate: want ~200, got %v", r)
-	}
-	if lr := m.LifetimeRate(); lr < 199 || lr > 201 {
-		t.Fatalf("post-reset lifetime rate: want ~200, got %v", lr)
 	}
 }
 
@@ -238,18 +156,16 @@ func TestRegistryEachAndWriteTo(t *testing.T) {
 	r.Gauge("g").Set(5)
 	r.GaugeFunc("gf", func() int64 { return 9 })
 	r.Histogram("h").Observe(3)
-	r.Meter("m").Mark(1)
 
-	var counters, gauges, hists, meters []string
+	var counters, gauges, hists []string
 	gaugeVals := map[string]int64{}
 	r.Each(Visitor{
 		Counter:   func(n string, c *Counter) { counters = append(counters, n) },
 		Gauge:     func(n string, v int64) { gauges = append(gauges, n); gaugeVals[n] = v },
 		Histogram: func(n string, h *Histogram) { hists = append(hists, n) },
-		Meter:     func(n string, m *Meter) { meters = append(meters, n) },
 	})
-	if len(counters) != 1 || len(hists) != 1 || len(meters) != 1 {
-		t.Fatalf("each visited %v %v %v", counters, hists, meters)
+	if len(counters) != 1 || len(hists) != 1 {
+		t.Fatalf("each visited %v %v", counters, hists)
 	}
 	if len(gauges) != 2 || gaugeVals["g"] != 5 || gaugeVals["gf"] != 9 {
 		t.Fatalf("gauges wrong: %v %v", gauges, gaugeVals)
@@ -259,18 +175,7 @@ func TestRegistryEachAndWriteTo(t *testing.T) {
 	if _, err := r.WriteTo(&b); err != nil {
 		t.Fatal(err)
 	}
-	// Dump renders via WriteTo; meter lines carry a live rate that may differ
-	// between two renders, so compare everything else.
-	stripMeters := func(s string) string {
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if !strings.HasPrefix(line, "meter ") {
-				keep = append(keep, line)
-			}
-		}
-		return strings.Join(keep, "\n")
-	}
-	if stripMeters(b.String()) != stripMeters(r.Dump()) {
+	if b.String() != r.Dump() {
 		t.Fatalf("Dump should render via WriteTo:\n%s\nvs\n%s", b.String(), r.Dump())
 	}
 	if !strings.Contains(b.String(), "gauge gf = 9") {

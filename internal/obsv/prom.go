@@ -20,8 +20,6 @@ import (
 //     scrapers see the same tail estimates the engine itself reports
 //     (Histogram.Quantile's bucket upper bounds) without re-deriving them
 //     from the exponential buckets
-//   - meters     -> `name_total` counter plus `name_rate` (EWMA) and
-//     `name_lifetime_rate` gauges
 //
 // Metric names are sanitised to the Prometheus grammar: every character
 // outside [a-zA-Z0-9_:] becomes '_' (so "node.win-5s.in" serves as
@@ -60,12 +58,6 @@ func WritePrometheus(w io.Writer, r *metrics.Registry) error {
 			for _, q := range promQuantiles {
 				emit("%s_quantile{quantile=\"%s\"} %d\n", n, q.label, h.Quantile(q.q))
 			}
-		},
-		Meter: func(name string, m *metrics.Meter) {
-			n := promName(name)
-			emit("# TYPE %s_total counter\n%s_total %d\n", n, n, m.Count())
-			emit("# TYPE %s_rate gauge\n%s_rate %g\n", n, n, m.Rate())
-			emit("# TYPE %s_lifetime_rate gauge\n%s_lifetime_rate %g\n", n, n, m.LifetimeRate())
 		},
 	})
 	return err

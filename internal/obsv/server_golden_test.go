@@ -10,8 +10,7 @@ import (
 
 // These are handler-level golden tests: they pin the exact bytes /metrics and
 // /jobs serve for a fixed input, so an accidental change to the exposition
-// format (field rename, reordering, dropped quantile line) fails loudly. The
-// fixtures avoid meters, whose EWMA rate depends on the wall clock.
+// format (field rename, reordering, dropped quantile line) fails loudly.
 
 func golden(t *testing.T, srv *Server, path string) string {
 	t.Helper()

@@ -132,7 +132,7 @@ func DecodeChangelog(data []byte) (*Changelog, error) {
 // restoring a snapshot, so the engine never ships state images — only the
 // log handle — matching the externally-managed design point.
 //
-// Only ValueState writes are logged; List/Map/Reducing states delegate to
+// Only ValueState writes are logged; List/Map states delegate to
 // the inner backend and are captured by Snapshot like the memory backend
 // (real changelog systems serialise those as value blobs too; callers who
 // need log-only recovery should model state as values).

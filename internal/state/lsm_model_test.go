@@ -21,10 +21,8 @@ func observe(b Backend) map[string]any {
 	out := map[string]any{}
 	for _, key := range modelKeys {
 		b.SetCurrentKey(key)
-		for _, name := range []string{"v", "r"} {
-			if v, ok := b.Value(name).Get(); ok {
-				out[fmt.Sprintf("%s/%q", name, key)] = v
-			}
+		if v, ok := b.Value("v").Get(); ok {
+			out[fmt.Sprintf("v/%q", key)] = v
 		}
 		m := b.Map("m")
 		keys := m.Keys()
@@ -110,7 +108,6 @@ func runModel(t *testing.T, seed int64) {
 		func() any { return []int64{int64(rng.Intn(9))} },
 		func() any { return codecStruct{Name: "gob", N: int64(rng.Intn(9))} },
 	}
-	sum := func(a, b any) any { return a.(int64) + b.(int64) }
 	both := func(fn func(b Backend)) { fn(disk); fn(mem) }
 	var cp, lastCP int64
 	spills, flushes, compactions := 0, 0, 0
@@ -153,13 +150,6 @@ func runModel(t *testing.T, seed int64) {
 		case op < 22:
 			what = "value clear"
 			both(func(b Backend) { b.SetCurrentKey(key); b.Value("v").Clear() })
-		case op < 25:
-			what = "reducing add"
-			n := int64(rng.Intn(5))
-			both(func(b Backend) { b.SetCurrentKey(key); b.Reducing("r", sum).Add(n) })
-		case op < 26:
-			what = "reducing clear"
-			both(func(b Backend) { b.SetCurrentKey(key); b.Reducing("r", sum).Clear() })
 		case op < 31:
 			what = "list append"
 			both(func(b Backend) { b.SetCurrentKey(key); b.List("l").Append(v) })

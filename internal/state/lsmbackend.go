@@ -33,7 +33,7 @@ import (
 // larger than memory still works.
 //
 // A map[string]any or []any is how an Image spells map and list state, so
-// value and reducing state must not hold one (Set panics): it could not be
+// value state must not hold one (Set panics): it could not be
 // told apart from a collection when an image is imported.
 type LSMBackend struct {
 	numGroups  int
@@ -295,15 +295,10 @@ func (b *LSMBackend) flush() error {
 	return nil
 }
 
-// --- value and reducing state ---
+// --- value state ---
 
 // Value returns the named single-value state handle.
 func (b *LSMBackend) Value(name string) ValueState { return &lsmValue{b: b, name: name} }
-
-// Reducing returns the named reducing state handle.
-func (b *LSMBackend) Reducing(name string, reduce func(a, b any) any) ReducingState {
-	return &lsmReducing{lsmValue{b: b, name: name}, reduce}
-}
 
 type lsmValue struct {
 	b    *LSMBackend
@@ -352,18 +347,6 @@ func (s *lsmValue) Clear() {
 		b.cacheBytes -= slotCost(len(id.name)+len(id.key), sl)
 		delete(b.vals, id)
 	}
-}
-
-type lsmReducing struct {
-	lsmValue
-	reduce func(a, b any) any
-}
-
-func (s *lsmReducing) Add(v any) {
-	if cur, ok := s.Get(); ok {
-		v = s.reduce(cur, v)
-	}
-	s.Set(v)
 }
 
 // --- map state ---

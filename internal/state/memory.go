@@ -164,11 +164,6 @@ func (b *MemoryBackend) invalidateHandles() {
 	}
 }
 
-// Reducing returns the named reducing state handle.
-func (b *MemoryBackend) Reducing(name string, reduce func(a, b any) any) ReducingState {
-	return &memReducing{b: b, name: name, reduce: reduce}
-}
-
 type memValue struct {
 	b    *MemoryBackend
 	name string
@@ -384,24 +379,6 @@ func (s *memMap) Clear() {
 	}
 }
 
-type memReducing struct {
-	b      *MemoryBackend
-	name   string
-	reduce func(a, b any) any
-}
-
-func (s *memReducing) Add(v any) {
-	cur, ok := s.b.get(s.name, s.b.currentKey)
-	if !ok {
-		s.b.put(s.name, s.b.currentKey, v)
-		return
-	}
-	s.b.put(s.name, s.b.currentKey, s.reduce(cur, v))
-}
-
-func (s *memReducing) Get() (any, bool) { return s.b.get(s.name, s.b.currentKey) }
-func (s *memReducing) Clear()           { s.b.del(s.name, s.b.currentKey) }
-
 // Image is the canonical serialised form of a (subset of a) backend's keyed
 // state, shared by every backend implementation so snapshots are portable
 // across backends (a checkpoint taken on the memory backend restores into an
@@ -435,23 +412,6 @@ func DecodeImage(data []byte) (Image, error) {
 		img.Groups = map[int]map[string]map[string]any{}
 	}
 	return img, nil
-}
-
-// FilterImage returns a new serialised image containing only the key groups
-// accepted by keep. It is how a rescale redistributes old instance snapshots
-// to new instances owning different group ranges.
-func FilterImage(data []byte, keep func(group int) bool) ([]byte, error) {
-	img, err := DecodeImage(data)
-	if err != nil {
-		return nil, err
-	}
-	out := Image{NumGroups: img.NumGroups, Groups: make(map[int]map[string]map[string]any)}
-	for g, names := range img.Groups {
-		if keep(g) {
-			out.Groups[g] = names
-		}
-	}
-	return EncodeImage(out)
 }
 
 // Snapshot serialises the entire backend.

@@ -3,17 +3,15 @@
 // "synopses" to the explicit, fault-tolerant partitioned state of modern
 // engines. It provides:
 //
-//   - the state primitives (ValueState, ListState, MapState, ReducingState)
-//     scoped to the current key,
+//   - the state primitives (ValueState, ListState, MapState) scoped to the
+//     current key,
 //   - key-group organisation (keys hash into a fixed number of key groups;
 //     operator instances own contiguous group ranges), which is what makes
 //     rescaling with state migration possible (E13),
 //   - three backends: in-memory ("internally managed", Flink-style), an
 //     LSM-tree-backed store (spilling beyond main memory), and a
 //     changelog-backed store ("externally managed", Samza/Kafka-Streams
-//     style),
-//   - TTL-based state expiration, and
-//   - state versioning with schema migration (§4.2 State Versioning).
+//     style).
 package state
 
 import "encoding/gob"
@@ -89,14 +87,6 @@ type MapState interface {
 	Clear()
 }
 
-// ReducingState folds appended values into one using a reduce function.
-type ReducingState interface {
-	Add(v any)
-	// Get returns the reduced value and whether any value was added.
-	Get() (any, bool)
-	Clear()
-}
-
 // Backend stores keyed state for one operator instance. Implementations are
 // not safe for concurrent use: the engine serialises access per instance.
 type Backend interface {
@@ -105,12 +95,11 @@ type Backend interface {
 	// CurrentKey returns the key set by SetCurrentKey.
 	CurrentKey() string
 
-	// Value, List, Map and Reducing return handles to named states scoped to
+	// Value, List and Map return handles to named states scoped to
 	// the current key. Handles may be retrieved once and reused across keys.
 	Value(name string) ValueState
 	List(name string) ListState
 	Map(name string) MapState
-	Reducing(name string, reduce func(a, b any) any) ReducingState
 
 	// Snapshot serialises the entire backend contents.
 	Snapshot() ([]byte, error)

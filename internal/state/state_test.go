@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/eventtime"
 )
 
 func TestKeyGroupForStableAndInRange(t *testing.T) {
@@ -96,14 +94,6 @@ func testBackendCRUD(t *testing.T, b Backend) {
 	m.Remove("x")
 	if _, ok := m.Get("x"); ok {
 		t.Fatal("map remove failed")
-	}
-
-	// Reducing state.
-	r := b.Reducing("sum", func(a, b any) any { return a.(int64) + b.(int64) })
-	r.Add(int64(3))
-	r.Add(int64(4))
-	if val, ok := r.Get(); !ok || val.(int64) != 7 {
-		t.Fatalf("reducing: %v %v", val, ok)
 	}
 
 	testMapKeysSnapshot(t, b)
@@ -318,31 +308,6 @@ func TestExportImportGroups(t *testing.T) {
 	}
 }
 
-func TestFilterImage(t *testing.T) {
-	src := NewMemoryBackend(0)
-	for i := 0; i < 50; i++ {
-		src.SetCurrentKey(fmt.Sprintf("k%d", i))
-		src.Value("v").Set(int64(i))
-	}
-	full, err := src.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	filtered, err := FilterImage(full, func(g int) bool { return g%2 == 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := DecodeImage(filtered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g := range img.Groups {
-		if g%2 != 0 {
-			t.Fatalf("filter kept group %d", g)
-		}
-	}
-}
-
 func TestImportGroupMismatchRejected(t *testing.T) {
 	a := NewMemoryBackend(64)
 	a.SetCurrentKey("x")
@@ -474,108 +439,6 @@ func TestForEachKey(t *testing.T) {
 				t.Fatalf("ForEachKey visited %d keys, want 20", len(seen))
 			}
 		})
-	}
-}
-
-func TestTTLExpiresValues(t *testing.T) {
-	clock := eventtime.NewVirtualClock(0)
-	b := NewMemoryBackend(0)
-	b.SetCurrentKey("k")
-	v := NewTTLValue(b.Value("v"), 100, clock)
-	v.Set("fresh")
-	if got, ok := v.Get(); !ok || got.(string) != "fresh" {
-		t.Fatalf("fresh read failed: %v %v", got, ok)
-	}
-	clock.Advance(99)
-	if _, ok := v.Get(); !ok {
-		t.Fatal("expired too early")
-	}
-	clock.Advance(1)
-	if _, ok := v.Get(); ok {
-		t.Fatal("value did not expire at TTL")
-	}
-	// Expired read lazily clears the underlying state.
-	if _, ok := b.Value("v").Get(); ok {
-		t.Fatal("expired entry not cleaned up")
-	}
-	// Re-set restarts the clock.
-	v.Set("again")
-	clock.Advance(50)
-	if _, ok := v.Get(); !ok {
-		t.Fatal("re-set value expired prematurely")
-	}
-}
-
-type profileV0 struct{ Name string }
-type profileV1 struct {
-	Name  string
-	Email string
-}
-
-func init() {
-	RegisterType(profileV0{})
-	RegisterType(profileV1{})
-}
-
-func TestSchemaVersioningMigratesOnRead(t *testing.T) {
-	reg := NewSchemaRegistry()
-	if err := reg.Register("profile", 0); err != nil {
-		t.Fatal(err)
-	}
-	b := NewMemoryBackend(0)
-	b.SetCurrentKey("u1")
-	v0 := NewVersionedValue(b.Value("profile"), "profile", reg)
-	v0.Set(profileV0{Name: "ada"})
-
-	// Application upgrades: register v1 with a migration.
-	if err := reg.Register("profile", 1); err != nil {
-		t.Fatal(err)
-	}
-	reg.AddMigration("profile", 0, func(old any) (any, error) {
-		p := old.(profileV0)
-		return profileV1{Name: p.Name, Email: p.Name + "@example.com"}, nil
-	})
-
-	v1 := NewVersionedValue(b.Value("profile"), "profile", reg)
-	got, ok := v1.Get()
-	if !ok {
-		t.Fatal("migrated read failed")
-	}
-	p := got.(profileV1)
-	if p.Name != "ada" || p.Email != "ada@example.com" {
-		t.Fatalf("migration wrong: %+v", p)
-	}
-	// Migration is persisted: raw payload is now at v1.
-	got2, _ := v1.Get()
-	if got2.(profileV1).Email != "ada@example.com" {
-		t.Fatal("second read inconsistent")
-	}
-}
-
-func TestSchemaVersioningMissingMigration(t *testing.T) {
-	reg := NewSchemaRegistry()
-	reg.Register("s", 0)
-	b := NewMemoryBackend(0)
-	b.SetCurrentKey("k")
-	v := NewVersionedValue(b.Value("s"), "s", reg)
-	v.Set("old")
-	reg.Register("s", 2) // skip ahead with no migrations
-	if _, ok := v.Get(); ok {
-		t.Fatal("read should fail without a migration chain")
-	}
-	if v.LastError == nil {
-		t.Fatal("missing migration should record an error")
-	}
-}
-
-func TestSchemaDowngradeRejected(t *testing.T) {
-	reg := NewSchemaRegistry()
-	reg.Register("s", 3)
-	if err := reg.Register("s", 2); err == nil {
-		t.Fatal("downgrade accepted")
-	}
-	if len(reg.Versions()) != 1 {
-		t.Fatalf("versions: %v", reg.Versions())
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package window implements windowing over event-time streams (§2.1/§2.2):
-// tumbling, sliding, session and count window assigners, an engine operator
-// with allowed lateness, and the sliding-window aggregation algorithms the
-// survey highlights — naive re-evaluation, pane-based partial aggregation
-// ("No pane, no gain", Li et al. SIGMOD Record 2005) and a two-stacks
+// tumbling, sliding, session and global window assigners, an engine operator
+// with allowed lateness, an interval join, and the sliding-window aggregation
+// algorithms the survey highlights — naive re-evaluation, pane-based partial
+// aggregation ("No pane, no gain", Li et al. SIGMOD Record 2005) and a two-stacks
 // incremental aggregator that handles non-invertible functions — plus a
 // batch-vectorized kernel standing in for the hardware-accelerated operators
 // of §4.2.

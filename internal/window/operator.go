@@ -435,50 +435,3 @@ func (o *operator) OnTimer(ts int64, ctx core.Context) error {
 	}
 	return nil
 }
-
-// CountWindow emits an aggregate every n elements per key (count-based
-// tumbling window — the non-temporal window type of 1st-gen systems).
-func CountWindow(s *core.Stream, name string, n int64, agg Aggregate) *core.Stream {
-	fac := func() core.Operator { return &countWindow{n: n, agg: agg} }
-	return s.Process(name, fac)
-}
-
-type countWindow struct {
-	core.BaseOperator
-	n   int64
-	agg Aggregate
-}
-
-func (o *countWindow) ProcessElement(e core.Event, ctx core.Context) error {
-	accSt := ctx.State().Value("acc")
-	cntSt := ctx.State().Value("cnt")
-	startSt := ctx.State().Value("start")
-	acc, ok := accSt.Get()
-	if !ok {
-		acc = o.agg.Create()
-	}
-	acc = o.agg.Add(acc, e)
-	cnt := int64(1)
-	if c, ok := cntSt.Get(); ok {
-		cnt = c.(int64) + 1
-	}
-	// The window's true start is the first buffered element's timestamp,
-	// kept in state so it survives checkpoint/restore with the buffer.
-	start, haveStart := e.Timestamp, false
-	if s, ok := startSt.Get(); ok {
-		start, haveStart = s.(int64), true
-	}
-	if cnt >= o.n {
-		ctx.Emit(o.agg.Emit(ctx.Key(), Window{Start: start, End: e.Timestamp + 1}, acc))
-		accSt.Clear()
-		cntSt.Clear()
-		startSt.Clear()
-		return nil
-	}
-	accSt.Set(acc)
-	cntSt.Set(cnt)
-	if !haveStart {
-		startSt.Set(start)
-	}
-	return nil
-}

@@ -265,36 +265,6 @@ func TestAllowedLatenessReemits(t *testing.T) {
 	}
 }
 
-func TestCountWindowInEngine(t *testing.T) {
-	var events []core.Event
-	for i := 0; i < 25; i++ {
-		events = append(events, core.Event{Key: "k", Timestamp: int64(i), Value: 1.0})
-	}
-	sink := core.NewCollectSink()
-	b := core.NewBuilder(core.Config{Name: "cw"})
-	s := b.Source("src", core.NewSliceSourceFactory(events)).
-		KeyBy(func(e core.Event) string { return e.Key })
-	CountWindow(s, "cw", 10, CountAggregate()).Sink("out", sink.Factory())
-	j, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := j.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// 25 events → two complete windows of 10 (the trailing 5 never fire).
-	if sink.Len() != 2 {
-		t.Fatalf("want 2 count windows, got %d", sink.Len())
-	}
-	for _, e := range sink.Events() {
-		if e.Value.(int64) != 10 {
-			t.Fatalf("count window: want 10, got %v", e.Value)
-		}
-	}
-}
-
 func TestGlobalWindowFiresAtEndOfStream(t *testing.T) {
 	var events []core.Event
 	for i := 0; i < 40; i++ {
@@ -381,51 +351,6 @@ func TestKernelFlushIsIdempotent(t *testing.T) {
 		k.Process([]float64{1, 2, 3, 4})
 		if _, ok := k.Flush(); ok {
 			t.Fatalf("%s: flush after exact multiple should be empty", k.Name())
-		}
-	}
-}
-
-// TestCountWindowEmitsTrueStart pins the count-window bound fix: the emitted
-// window's Start must be the first buffered element's timestamp, not a
-// fabricated 0.
-func TestCountWindowEmitsTrueStart(t *testing.T) {
-	// Timestamps deliberately start well above 0 so the old fabricated
-	// Window{Start: 0} would be caught.
-	var events []core.Event
-	for i := 0; i < 12; i++ {
-		events = append(events, core.Event{Key: "k", Timestamp: int64(1000 + 5*i), Value: 1.0})
-	}
-	// Surface the window bounds through a custom Emit: Value = [start, end, count].
-	agg := Aggregate{
-		Create: func() any { return int64(0) },
-		Add:    func(acc any, _ core.Event) any { return acc.(int64) + 1 },
-		Emit: func(key string, w Window, acc any) core.Event {
-			return core.Event{Key: key, Timestamp: w.End - 1, Value: [3]int64{w.Start, w.End, acc.(int64)}}
-		},
-	}
-	sink := core.NewCollectSink()
-	b := core.NewBuilder(core.Config{Name: "cw-start"})
-	s := b.Source("src", core.NewSliceSourceFactory(events)).
-		KeyBy(func(e core.Event) string { return e.Key })
-	CountWindow(s, "cw", 5, agg).Sink("out", sink.Factory())
-	j, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := j.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if sink.Len() != 2 {
-		t.Fatalf("want 2 count windows, got %d: %v", sink.Len(), sink.Events())
-	}
-	// First window buffers ts 1000..1020, second 1025..1045.
-	want := [][3]int64{{1000, 1021, 5}, {1025, 1046, 5}}
-	got := sink.Events()
-	for i, w := range want {
-		if got[i].Value.([3]int64) != w {
-			t.Fatalf("window %d: want start/end/count %v, got %v", i, w, got[i].Value)
 		}
 	}
 }
